@@ -16,7 +16,9 @@
 //! * [`CountingBackend::TidBitmap`] — vertical counting: the pass builds
 //!   one packed bitset row per item the candidates mention, then every
 //!   candidate is counted by word-wise AND + popcount (see
-//!   [`negassoc_txdb::vertical`]; DESIGN.md §14),
+//!   [`negassoc_txdb::vertical`]; DESIGN.md §14); a pass of dense pairs
+//!   (every candidate a pair, filling at least half of the triangle over
+//!   their items, as at L2) is counted in a triangular pair matrix instead,
 //! * [`crate::count::count_with_tidlists`] — vertical counting against a
 //!   prebuilt [`negassoc_txdb::vertical::TidListIndex`] (no database pass at
 //!   all).
@@ -29,6 +31,7 @@ use crate::itemset::Itemset;
 use negassoc_taxonomy::fxhash::{FxHashMap, FxHashSet};
 use negassoc_taxonomy::ItemId;
 use negassoc_txdb::block::DEFAULT_BLOCK_SIZE;
+use negassoc_txdb::obs::{metric, Event, Obs};
 use negassoc_txdb::vertical::{BitmapChunk, TidListIndex};
 use negassoc_txdb::TransactionSource;
 use std::io;
@@ -152,37 +155,196 @@ pub(crate) fn items_of(candidates: &[Itemset]) -> FxHashSet<ItemId> {
 /// path here and the worker pool in [`crate::parallel`]: a dense row per
 /// item the candidates mention (categories included — the mapper already
 /// surfaces them per transaction, so a category row *is* the union of its
-/// descendants' occurrences) and each candidate pre-resolved to its rows.
+/// descendants' occurrences), each candidate pre-resolved to its rows,
+/// and the counting layout the candidate shape selects.
 pub(crate) struct BitmapPlan {
     /// Item → dense bitmap row.
     pub(crate) row_of: FxHashMap<ItemId, u32>,
-    /// Per candidate (input order), the rows to AND.
-    pub(crate) cand_rows: Vec<Vec<u32>>,
+    /// Every candidate's rows, concatenated in input order (one flat
+    /// buffer: an L2 plan holds hundreds of thousands of candidates).
+    cand_rows: Vec<u32>,
+    /// Where each candidate's rows end in `cand_rows`.
+    cand_ends: Vec<usize>,
     /// Number of rows (distinct items mentioned).
-    pub(crate) rows: usize,
+    rows: usize,
+    /// Count in a triangular pair matrix instead of AND + popcount: set
+    /// when every candidate is a pair and the candidates fill at least
+    /// half of the triangle over their rows (always true at L2).
+    pairs: bool,
 }
 
 impl BitmapPlan {
     pub(crate) fn new(candidates: &[Itemset]) -> Self {
         let mut needed: Vec<ItemId> = items_of(candidates).into_iter().collect();
-        // Sorted assignment keeps row numbering independent of hash order;
-        // counts don't care, debuggability does.
+        // Sorted assignment keeps row numbering independent of hash order,
+        // and makes a strictly ascending transaction map to strictly
+        // ascending rows, which the pair matrix relies on.
         needed.sort_unstable();
         let row_of: FxHashMap<ItemId, u32> = needed
             .iter()
             .enumerate()
             .map(|(i, &item)| (item, i as u32))
             .collect();
-        let cand_rows: Vec<Vec<u32>> = candidates
+        let mut cand_rows = Vec::with_capacity(candidates.iter().map(Itemset::len).sum());
+        let cand_ends = candidates
             .iter()
-            .map(|c| c.items().iter().map(|i| row_of[i]).collect())
+            .map(|c| {
+                cand_rows.extend(c.items().iter().map(|i| row_of[i]));
+                cand_rows.len()
+            })
             .collect();
+        let rows = needed.len();
+        let pairs = candidates.iter().all(|c| c.len() == 2)
+            && 2 * candidates.len() as u64 >= triangle(rows) as u64;
         Self {
             row_of,
             cand_rows,
-            rows: needed.len(),
+            cand_ends,
+            rows,
+            pairs,
         }
     }
+
+    /// Each candidate's rows, in input order.
+    fn candidate_rows(&self) -> impl Iterator<Item = &[u32]> {
+        let mut start = 0;
+        self.cand_ends.iter().map(move |&end| {
+            let rows = &self.cand_rows[start..end];
+            start = end;
+            rows
+        })
+    }
+
+    /// A fresh counting unit in the layout this plan selected.
+    pub(crate) fn worker(&self) -> VerticalWorker {
+        if self.pairs {
+            VerticalWorker::Pairs(PairWorker::new(self.rows))
+        } else {
+            VerticalWorker::Bits(BitmapWorker::new(self.rows))
+        }
+    }
+
+    /// One worker's per-candidate partial counts (input order) and the
+    /// work behind them.
+    pub(crate) fn tally(&self, worker: VerticalWorker) -> Tally {
+        let mut work = 0u64;
+        match worker {
+            VerticalWorker::Bits(w) => Tally {
+                partials: self
+                    .candidate_rows()
+                    .map(|rows| w.count_tracked(rows, &mut work))
+                    .collect(),
+                built: w.words_built(),
+                work,
+            },
+            VerticalWorker::Pairs(w) => Tally {
+                partials: self
+                    .candidate_rows()
+                    .map(|rows| w.count(rows[0], rows[1]))
+                    .collect(),
+                built: w.cells.len() as u64,
+                work: w.increments,
+            },
+        }
+    }
+
+    /// Merge the workers' tallies from a pass over `transactions`
+    /// transactions into exact per-candidate supports (input order) by
+    /// element-wise `u64` addition — order-invariant, like a
+    /// [`negassoc_txdb::obs::MetricsShard`] absorb — and report the pass's
+    /// build and count work to `obs`.
+    ///
+    /// # Errors
+    /// A pair-matrix pass over more than `u32::MAX` transactions returns
+    /// [`io::ErrorKind::InvalidData`]: its `u32` cells may have wrapped, so
+    /// no count from it is trusted.
+    pub(crate) fn merge(
+        &self,
+        tallies: impl IntoIterator<Item = Tally>,
+        transactions: u64,
+        obs: &Obs,
+    ) -> io::Result<Vec<u64>> {
+        let mut totals = vec![0u64; self.cand_ends.len()];
+        let (mut built, mut work) = (0u64, 0u64);
+        for t in tallies {
+            for (total, p) in totals.iter_mut().zip(t.partials) {
+                *total += p;
+            }
+            built += t.built;
+            work += t.work;
+        }
+        if self.pairs {
+            check_cell_limit(transactions)?;
+        }
+        let ones: u64 = totals.iter().sum();
+        let backend = if self.pairs { "pairs" } else { "bitmap" };
+        obs.emit(|| Event::BackendBuild {
+            backend: backend.to_string(),
+            items: self.rows,
+            words: built,
+        });
+        obs.emit(|| Event::BackendCount {
+            backend: backend.to_string(),
+            candidates: totals.len(),
+            words: work,
+            ones,
+        });
+        if self.pairs {
+            obs.bump(metric::BITMAP_PAIR_INCREMENTS, work);
+        } else {
+            obs.bump(metric::BITMAP_WORDS_BUILT, built);
+            obs.bump(metric::BITMAP_WORDS_ANDED, work);
+        }
+        obs.bump(metric::BITMAP_ONES, ones);
+        Ok(totals)
+    }
+}
+
+/// Cells of the strict upper triangle over `rows` rows: `C(rows, 2)`.
+fn triangle(rows: usize) -> usize {
+    rows * rows.saturating_sub(1) / 2
+}
+
+/// The pair matrix's `u32` cells hold exact counts only up to `u32::MAX`
+/// transactions, the same bound [`negassoc_txdb::vertical::TidBitmap`]
+/// enforces.
+fn check_cell_limit(transactions: u64) -> io::Result<()> {
+    if transactions > u64::from(u32::MAX) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "pair-matrix counting supports at most u32::MAX transactions",
+        ));
+    }
+    Ok(())
+}
+
+/// One worker's counting state, in the layout its [`BitmapPlan`] chose.
+pub(crate) enum VerticalWorker {
+    /// Packed presence bits; candidates answered by AND + popcount.
+    Bits(BitmapWorker),
+    /// Triangular pair matrix; candidates read from their cell.
+    Pairs(PairWorker),
+}
+
+impl VerticalWorker {
+    /// Record one mapped (strictly ascending) transaction. Items outside
+    /// the plan are ignored.
+    pub(crate) fn add(&mut self, items: &[ItemId], row_of: &FxHashMap<ItemId, u32>) {
+        match self {
+            VerticalWorker::Bits(w) => w.add(items, row_of),
+            VerticalWorker::Pairs(w) => w.add(items, row_of),
+        }
+    }
+}
+
+/// What one worker contributes to a pass.
+pub(crate) struct Tally {
+    /// Per-candidate partial supports, input order.
+    partials: Vec<u64>,
+    /// Structures built: `u64` words (bitmap) or `u32` cells (pairs).
+    built: u64,
+    /// Counting work: words ANDed (bitmap) or cell increments (pairs).
+    work: u64,
 }
 
 /// One counting unit's bitmap state: chunks of packed presence bits filled
@@ -197,7 +359,7 @@ pub(crate) struct BitmapWorker {
 }
 
 impl BitmapWorker {
-    pub(crate) fn new(rows: usize) -> Self {
+    fn new(rows: usize) -> Self {
         Self {
             chunks: Vec::new(),
             rows,
@@ -208,7 +370,7 @@ impl BitmapWorker {
     /// Record one mapped transaction: set the bit for every item that has
     /// a row. Items outside the plan (not mentioned by any candidate) are
     /// simply ignored.
-    pub(crate) fn add(&mut self, items: &[ItemId], row_of: &FxHashMap<ItemId, u32>) {
+    fn add(&mut self, items: &[ItemId], row_of: &FxHashMap<ItemId, u32>) {
         if self.room == 0 {
             self.chunks
                 .push(BitmapChunk::new(self.rows, DEFAULT_BLOCK_SIZE));
@@ -228,7 +390,7 @@ impl BitmapWorker {
     /// Transactions seen by this worker containing all of `rows`, with the
     /// words visited added to `words_anded`. An empty `rows` slice counts
     /// 0 (the horizontal paths never report the empty itemset either).
-    pub(crate) fn count_tracked(&self, rows: &[u32], words_anded: &mut u64) -> u64 {
+    fn count_tracked(&self, rows: &[u32], words_anded: &mut u64) -> u64 {
         if rows.is_empty() {
             return 0;
         }
@@ -241,36 +403,94 @@ impl BitmapWorker {
     }
 
     /// Total `u64` words this worker's chunks hold.
-    pub(crate) fn words_built(&self) -> u64 {
+    fn words_built(&self) -> u64 {
         self.chunks.iter().map(BitmapChunk::total_words).sum()
+    }
+}
+
+/// One counting unit's pair matrix: a `u32` cell for every row pair
+/// `a < b`, laid out row-major over the strict upper triangle. A
+/// transaction bumps the cell of each pair of its rows, so its cost is
+/// `C(m, 2)` for its `m` planned items, independent of the candidate count
+/// and of the database size.
+pub(crate) struct PairWorker {
+    cells: Vec<u32>,
+    rows: usize,
+    /// The current transaction's rows (reused across transactions).
+    scratch: Vec<usize>,
+    increments: u64,
+}
+
+impl PairWorker {
+    fn new(rows: usize) -> Self {
+        Self {
+            cells: vec![0; triangle(rows)],
+            rows,
+            scratch: Vec::new(),
+            increments: 0,
+        }
+    }
+
+    /// First cell of row `a`'s stretch of the triangle (pairs `(a, a+1..)`).
+    #[inline]
+    fn row_start(&self, a: usize) -> usize {
+        a * (2 * self.rows - a - 1) / 2
+    }
+
+    /// Record one mapped transaction: bump the cell of every pair of its
+    /// planned items. The mapper contract (strictly ascending items) and
+    /// the plan's sorted row assignment make the rows strictly ascending.
+    fn add(&mut self, items: &[ItemId], row_of: &FxHashMap<ItemId, u32>) {
+        self.scratch.clear();
+        self.scratch.extend(
+            items
+                .iter()
+                .filter_map(|i| row_of.get(i))
+                .map(|&r| r as usize),
+        );
+        debug_assert!(self.scratch.windows(2).all(|w| w[0] < w[1]));
+        let m = self.scratch.len() as u64;
+        self.increments += m * m.saturating_sub(1) / 2;
+        for (x, &a) in self.scratch.iter().enumerate() {
+            let start = self.row_start(a);
+            let row = &mut self.cells[start..start + (self.rows - a - 1)];
+            for &b in &self.scratch[x + 1..] {
+                row[b - a - 1] += 1;
+            }
+        }
+    }
+
+    /// Transactions seen by this worker containing rows `a < b`.
+    fn count(&self, a: u32, b: u32) -> u64 {
+        let (a, b) = (a as usize, b as usize);
+        u64::from(self.cells[self.row_start(a) + (b - a - 1)])
     }
 }
 
 /// The sequential TID-bitmap pass behind [`count_candidates`] and
 /// [`count_mixed`] with [`CountingBackend::TidBitmap`]: one streaming pass
-/// fills the bitmaps, then every candidate is an AND + popcount. Matching
-/// [`count_mixed`], zero-size candidates are dropped from the output.
+/// fills one [`VerticalWorker`], then every candidate is read from it.
+/// Matching [`count_mixed`], zero-size candidates are dropped from the
+/// output.
 fn count_bitmap<S: TransactionSource + ?Sized>(
     source: &S,
     candidates: Vec<Itemset>,
     mapper: &mut Mapper<'_>,
 ) -> io::Result<Vec<(Itemset, u64)>> {
     let plan = BitmapPlan::new(&candidates);
-    let mut worker = BitmapWorker::new(plan.rows);
+    let mut worker = plan.worker();
     let mut buf: Vec<ItemId> = Vec::new();
+    let mut transactions = 0u64;
     source.pass(&mut |t| {
         mapper(t.items(), &mut buf);
         worker.add(&buf, &plan.row_of);
+        transactions += 1;
     })?;
-    let mut anded = 0u64;
+    let totals = plan.merge([plan.tally(worker)], transactions, &Obs::disabled())?;
     Ok(candidates
         .into_iter()
-        .zip(plan.cand_rows.iter())
+        .zip(totals)
         .filter(|(c, _)| !c.is_empty())
-        .map(|(c, rows)| {
-            let n = worker.count_tracked(rows, &mut anded);
-            (c, n)
-        })
         .collect())
 }
 
@@ -514,6 +734,138 @@ mod tests {
         assert_eq!(binomial(10, 0), 1);
         assert_eq!(binomial(3, 5), 0);
         assert_eq!(binomial(52, 5), 2_598_960);
+    }
+
+    fn row_of(items: &[u32]) -> FxHashMap<ItemId, u32> {
+        items
+            .iter()
+            .enumerate()
+            .map(|(r, &i)| (ItemId(i), r as u32))
+            .collect()
+    }
+
+    fn ids(v: &[u32]) -> Vec<ItemId> {
+        v.iter().map(|&i| ItemId(i)).collect()
+    }
+
+    #[test]
+    fn pair_worker_with_zero_and_one_rows() {
+        let mut none = PairWorker::new(0);
+        none.add(&ids(&[1, 2, 3]), &row_of(&[]));
+        none.add(&[], &row_of(&[]));
+        assert!(none.cells.is_empty());
+        assert_eq!(none.increments, 0);
+
+        let mut one = PairWorker::new(1);
+        one.add(&ids(&[1, 2, 3]), &row_of(&[2]));
+        assert!(one.cells.is_empty());
+        assert_eq!(one.increments, 0);
+    }
+
+    #[test]
+    fn pair_worker_counts_empty_transactions_and_ignores_unplanned_items() {
+        // Rows 0..4 for items 10, 20, 30, 40; items 5 and 25 are unplanned.
+        let plan = row_of(&[10, 20, 30, 40]);
+        let mut w = PairWorker::new(4);
+        w.add(&[], &plan);
+        w.add(&ids(&[5, 10, 25, 30]), &plan);
+        w.add(&ids(&[10, 20, 30, 40]), &plan);
+        w.add(&ids(&[25]), &plan);
+        assert_eq!(w.increments, 1 + 6);
+        assert_eq!(w.cells.len(), 6);
+        assert_eq!(w.count(0, 2), 2); // {10, 30}
+        for (a, b) in [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            assert_eq!(w.count(a, b), 1, "rows {a}, {b}");
+        }
+    }
+
+    /// The layout follows the candidates: dense pairs take the matrix,
+    /// anything else keeps AND + popcount.
+    #[test]
+    fn plan_selects_pairs_only_for_dense_pair_sets() {
+        // 4 items: triangle of 6; 3 pairs fill exactly half.
+        let half = vec![set(&[1, 2]), set(&[3, 4]), set(&[1, 4])];
+        assert!(BitmapPlan::new(&half).pairs);
+        // 5 items: triangle of 10; 4 pairs fall below half.
+        let sparse = vec![set(&[1, 2]), set(&[3, 4]), set(&[1, 4]), set(&[4, 5])];
+        assert!(!BitmapPlan::new(&sparse).pairs);
+        let mixed = vec![set(&[1, 2]), set(&[1, 2, 3])];
+        assert!(!BitmapPlan::new(&mixed).pairs);
+        let singles = vec![set(&[1]), set(&[2])];
+        assert!(!BitmapPlan::new(&singles).pairs);
+    }
+
+    /// Both sides of the half-triangle rule count exactly, with the
+    /// mapper surfacing ancestors: category 100 over items 1 and 2,
+    /// category 200 over 3 and 4. Transactions hold item–ancestor pairs
+    /// ({1, 100}, …) that the candidates omit, as pruned at L2.
+    #[test]
+    fn pair_path_matches_reference_on_both_sides_of_the_rule() {
+        let parent = |i: u32| match i {
+            1 | 2 => Some(100),
+            3 | 4 => Some(200),
+            _ => None,
+        };
+        let mut mapper = |items: &[ItemId], buf: &mut Vec<ItemId>| {
+            buf.clear();
+            buf.extend_from_slice(items);
+            buf.extend(items.iter().filter_map(|i| parent(i.0)).map(ItemId));
+            buf.sort_unstable();
+            buf.dedup();
+        };
+        let mut b = TransactionDbBuilder::new();
+        for t in [
+            &[1, 3][..],
+            &[1, 2, 4],
+            &[2],
+            &[],
+            &[3, 4, 9],
+            &[1, 4],
+            &[1, 2, 3, 4],
+        ] {
+            b.add(ids(t));
+        }
+        let db = b.build();
+        let items = [1, 2, 3, 4, 100, 200];
+        let related = |a: u32, b: u32| parent(a) == Some(b) || parent(b) == Some(a);
+        let all: Vec<Itemset> = items
+            .iter()
+            .enumerate()
+            .flat_map(|(x, &a)| items[x + 1..].iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| !related(a, b))
+            .map(|(a, b)| set(&[a, b]))
+            .collect();
+        // Over all 6 rows (triangle 15): 7 pairs are sparse, 8 are dense.
+        assert_eq!(all.len(), 11);
+        let sparse: Vec<Itemset> = [(1, 2), (3, 4), (100, 200), (1, 3), (2, 4), (1, 200), (2, 3)]
+            .iter()
+            .map(|&(a, b)| set(&[a, b]))
+            .collect();
+        let mut dense8 = sparse.clone();
+        dense8.push(set(&[1, 4]));
+        for (cands, dense) in [(all, true), (dense8, true), (sparse, false)] {
+            let n = cands.len();
+            assert_eq!(BitmapPlan::new(&cands).pairs, dense, "{n} pairs");
+            let want = sorted(
+                count_candidates(
+                    &db,
+                    cands.clone(),
+                    CountingBackend::SubsetHashMap,
+                    &mut mapper,
+                )
+                .unwrap(),
+            );
+            let got =
+                count_candidates(&db, cands, CountingBackend::TidBitmap, &mut mapper).unwrap();
+            assert_eq!(sorted(got), want, "{n} pairs");
+        }
+    }
+
+    #[test]
+    fn pair_cells_refuse_more_than_u32_max_transactions() {
+        assert!(check_cell_limit(u64::from(u32::MAX)).is_ok());
+        let err = check_cell_limit(u64::from(u32::MAX) + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //!
 //! [`HashTree`]: crate::hash_tree::HashTree
 
-use crate::count::{items_of, BitmapPlan, BitmapWorker, Counter, CountingBackend};
+use crate::count::{items_of, BitmapPlan, Counter, CountingBackend};
 use crate::itemset::Itemset;
 use negassoc_taxonomy::fxhash::{FxHashMap, FxHashSet};
 use negassoc_taxonomy::ItemId;
 use negassoc_txdb::block::{parallel_pass_ctrl, DEFAULT_BLOCK_SIZE};
-use negassoc_txdb::obs::{metric, Event};
 use negassoc_txdb::TransactionSource;
 use std::io;
 
@@ -207,17 +206,18 @@ pub fn count_mixed_parallel_ctrl<S: TransactionSource + ?Sized>(
 }
 
 /// The TID-bitmap arm of [`count_mixed_parallel_ctrl`]: build and count in
-/// the *same* single pass. Each worker packs the transactions it is dealt
-/// into private [`BitmapChunk`] row-ranges (one bit slot per transaction,
-/// rows only for items the candidates mention), then answers every
-/// candidate with word-wise AND + popcount over its own chunks. Workers
-/// cover disjoint transaction slices, so the per-candidate partials merge
-/// by plain `u64` addition — order-invariant, like a
-/// [`negassoc_txdb::obs::MetricsShard`] absorb — and the result is exact
-/// and identical to the horizontal backends for every thread count.
+/// the *same* single pass. Each worker fills a private
+/// [`VerticalWorker`] from the transactions it is dealt — packed
+/// [`BitmapChunk`] row-ranges (one bit slot per transaction, rows only for
+/// items the candidates mention) answered by word-wise AND + popcount, or,
+/// when the plan picks it, a triangular pair matrix read cell by cell —
+/// then reports per-candidate partials. Workers cover disjoint transaction
+/// slices, so the partials merge by plain `u64` addition and the result is
+/// exact and identical to the horizontal backends for every thread count.
 ///
 /// [`BitmapChunk`]: negassoc_txdb::vertical::BitmapChunk
-// negassoc-lint: allow(L010) -- parallel_pass_ctrl polls at block boundaries; the loops here are plan setup, worker-closure bit-setting over dispatched blocks, and the in-memory partial-count merge
+/// [`VerticalWorker`]: crate::count::VerticalWorker
+// negassoc-lint: allow(L010) -- parallel_pass_ctrl polls at block boundaries; the loops here are plan setup, worker-closure counting over dispatched blocks, and the in-memory partial-count merge
 fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
     source: &S,
     candidates: Vec<Itemset>,
@@ -235,55 +235,16 @@ fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
         DEFAULT_BLOCK_SIZE,
         ctrl,
         obs,
-        || (BitmapWorker::new(plan.rows), Vec::<ItemId>::new()),
+        || (plan.worker(), Vec::<ItemId>::new()),
         |(w, buf), block| {
             for t in block.iter() {
                 mapper(t.items(), buf);
                 w.add(buf, &plan.row_of);
             }
         },
-        |(w, _)| -> (Vec<u64>, u64, u64) {
-            let mut anded = 0u64;
-            let partials: Vec<u64> = plan
-                .cand_rows
-                .iter()
-                .map(|rows| w.count_tracked(rows, &mut anded))
-                .collect();
-            (partials, w.words_built(), anded)
-        },
+        |(w, _)| plan.tally(w),
     )?;
-
-    // Order-invariant absorb: per-candidate partials sum element-wise, so
-    // every candidate appears exactly once, in input order, and the total
-    // is independent of worker completion order.
-    let mut totals = vec![0u64; candidates.len()];
-    let mut words_built = 0u64;
-    let mut words_anded = 0u64;
-    for (partials, built, anded) in parts {
-        for (t, p) in totals.iter_mut().zip(partials) {
-            *t += p;
-        }
-        words_built += built;
-        words_anded += anded;
-    }
-    let ones: u64 = totals.iter().sum();
-    let rows = plan.rows;
-    let n_candidates = totals.len();
-    obs.emit(|| Event::BackendBuild {
-        backend: "bitmap".to_string(),
-        items: rows,
-        words: words_built,
-    });
-    obs.emit(|| Event::BackendCount {
-        backend: "bitmap".to_string(),
-        candidates: n_candidates,
-        words: words_anded,
-        ones,
-    });
-    obs.bump(metric::BITMAP_WORDS_BUILT, words_built);
-    obs.bump(metric::BITMAP_WORDS_ANDED, words_anded);
-    obs.bump(metric::BITMAP_ONES, ones);
-
+    let totals = plan.merge(parts, transactions, obs)?;
     let counts: Vec<(Itemset, u64)> = candidates.into_iter().zip(totals).collect();
     Ok(PassRun {
         counts,

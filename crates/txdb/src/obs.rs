@@ -202,20 +202,23 @@ pub enum Event {
     /// A counting backend finished building its pass-local structures
     /// (e.g. the TID-bitmap rows for one pass).
     BackendBuild {
-        /// Backend name (`"bitmap"`, …).
+        /// Backend layout: `"bitmap"` (AND + popcount) or `"pairs"` (the
+        /// bitmap backend's triangular pair matrix).
         backend: String,
         /// Item rows (or structures) built.
         items: usize,
-        /// Packed `u64` words allocated across all workers.
+        /// Across all workers: packed `u64` words allocated (`bitmap`),
+        /// or `u32` matrix cells allocated (`pairs`).
         words: u64,
     },
     /// A counting backend answered a pass's candidate supports.
     BackendCount {
-        /// Backend name (`"bitmap"`, …).
+        /// Backend layout, as in [`Event::BackendBuild`].
         backend: String,
         /// Candidates counted.
         candidates: usize,
-        /// `u64` words visited by AND loops across all workers.
+        /// Across all workers: `u64` words visited by AND loops
+        /// (`bitmap`), or matrix cell increments (`pairs`).
         words: u64,
         /// Total popcount over all candidates (the sum of supports).
         ones: u64,
@@ -715,7 +718,12 @@ pub mod metric {
     pub const BITMAP_WORDS_BUILT: &str = "bitmap.words.built";
     /// `u64` words visited by the bitmap backend's AND loops.
     pub const BITMAP_WORDS_ANDED: &str = "bitmap.words.anded";
-    /// Total popcount the bitmap backend reported (sum of supports).
+    /// Cell increments of the bitmap backend's pair-matrix passes (every
+    /// candidate a pair, dense enough; e.g. L2): one per co-occurring pair
+    /// of planned items per transaction. These passes AND no words.
+    pub const BITMAP_PAIR_INCREMENTS: &str = "bitmap.pair_increments";
+    /// Total support the bitmap backend reported (sum over candidates, both
+    /// layouts).
     pub const BITMAP_ONES: &str = "bitmap.ones";
 }
 

@@ -36,6 +36,15 @@ awk -v s="$l2" 'BEGIN { exit !(s >= 3.0) }' \
   || { echo "bench: bitmap L2 speedup ${l2}x < 3x bar" >&2; exit 1; }
 echo "bench: bitmap L2 speedup ${l2}x (>= 3x bar)"
 
+# The same bar at the fixed 100,000-transaction scale (last in the
+# document): the L2 pass is where the bitmap backend's pair matrix runs,
+# and its lead over the flat baseline must hold past toy sizes too.
+l2big="$(sed -n 's/.*"l2_speedup_bitmap_vs_flat": \([0-9.]*\).*/\1/p' BENCH_counting.json | tail -1)"
+[ -n "$l2big" ] || { echo "bench: no 100k l2_speedup_bitmap_vs_flat" >&2; exit 1; }
+awk -v s="$l2big" 'BEGIN { exit !(s >= 3.0) }' \
+  || { echo "bench: 100k bitmap L2 speedup ${l2big}x < 3x bar" >&2; exit 1; }
+echo "bench: 100k bitmap L2 speedup ${l2big}x (>= 3x bar)"
+
 # The thread-scaling bar: with the bitmap backend, 4 workers must beat
 # the sequential run — but only on a machine that has real cores to
 # scale onto. On a single-CPU box the pool can only add overhead, so

@@ -159,6 +159,18 @@ done
   --min-support 0.05 --max-size 2 --backend bitmap --threads 4 \
   --out "$SMOKE/backend-bitmap-t4.csv" > /dev/null
 diff "$SMOKE/clean.csv" "$SMOKE/backend-bitmap-t4.csv"
+# Full depth (the default --max-size): the bitmap backend counts L2 in
+# its pair matrix and L3+ plus the mixed-size negative pass by AND +
+# popcount, so this diff covers both layouts against the flat reference.
+"$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
+  --min-support 0.05 --backend flat --out "$SMOKE/deep-flat.csv" > /dev/null
+"$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
+  --min-support 0.05 --backend bitmap --out "$SMOKE/deep-bitmap.csv" > /dev/null
+"$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
+  --min-support 0.05 --backend bitmap --threads 4 \
+  --out "$SMOKE/deep-bitmap-t4.csv" > /dev/null
+diff "$SMOKE/deep-flat.csv" "$SMOKE/deep-bitmap.csv"
+diff "$SMOKE/deep-flat.csv" "$SMOKE/deep-bitmap-t4.csv"
 # And through a shard manifest (a fresh one: the quarantine stage above
 # deliberately corrupted sh-shard-001).
 "$NEGRULES" generate --data "$SMOKE/bm.nadb" --taxonomy "$SMOKE/bm-tax.txt" \
@@ -167,7 +179,7 @@ diff "$SMOKE/clean.csv" "$SMOKE/backend-bitmap-t4.csv"
   --min-support 0.05 --max-size 2 --backend bitmap \
   --out "$SMOKE/backend-bitmap-sharded.csv" > /dev/null
 diff "$SMOKE/sh-whole.csv" "$SMOKE/backend-bitmap-sharded.csv"
-echo "smoke: all backends byte-identical, incl. threaded and sharded bitmap"
+echo "smoke: all backends byte-identical, incl. threaded, sharded and full-depth bitmap"
 
 echo "==> serve smoke (snapshot export, server vs offline oracle, SIGINT drain)"
 # Mine a small dataset into a versioned snapshot, serve it, answer a
