@@ -3,9 +3,10 @@
 //! occurrences directly, higher levels count `apriori-gen` candidates with
 //! the configured backend.
 
-use crate::count::{count_candidates, identity_mapper, CountingBackend};
+use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
 use crate::itemset::{Itemset, LargeItemsets};
+use crate::parallel::{count_mixed_parallel, identity_sync_mapper, Obs, Parallelism};
 use crate::MinSupport;
 use negassoc_taxonomy::ItemId;
 use negassoc_txdb::TransactionSource;
@@ -56,9 +57,17 @@ pub fn apriori<S: TransactionSource + ?Sized>(
         if candidates.is_empty() {
             break;
         }
-        let counted = count_candidates(source, candidates, backend, &mut identity_mapper)?;
+        let counted = count_mixed_parallel(
+            source,
+            candidates,
+            backend,
+            &identity_sync_mapper,
+            Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
+        )?;
         frontier.clear();
-        for (set, count) in counted {
+        for (set, count) in counted.counts {
             if count >= minsup {
                 frontier.push(set.clone());
                 large.insert(set, count);
@@ -97,7 +106,7 @@ mod tests {
         let large = apriori(
             &textbook_db(),
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
         )
         .unwrap();
         assert_eq!(large.num_transactions(), 4);
@@ -121,7 +130,7 @@ mod tests {
         let a = apriori(
             &textbook_db(),
             MinSupport::Fraction(0.5),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
         )
         .unwrap();
         let b = apriori(
@@ -139,7 +148,7 @@ mod tests {
     #[test]
     fn one_pass_per_level_plus_one() {
         let pc = PassCounter::new(textbook_db());
-        let large = apriori(&pc, MinSupport::Count(2), CountingBackend::HashTree).unwrap();
+        let large = apriori(&pc, MinSupport::Count(2), CountingBackend::TidBitmap).unwrap();
         // Passes: 1 (items) + one per counted level (2, 3) + one for the
         // empty level-4 candidate check? No: level-4 candidates are empty
         // (apriori_gen from a single L3 itemset), so no extra pass.
@@ -150,7 +159,7 @@ mod tests {
     #[test]
     fn empty_database() {
         let db = TransactionDbBuilder::new().build();
-        let large = apriori(&db, MinSupport::Fraction(0.1), CountingBackend::HashTree).unwrap();
+        let large = apriori(&db, MinSupport::Fraction(0.1), CountingBackend::TidBitmap).unwrap();
         assert_eq!(large.total(), 0);
     }
 
@@ -162,7 +171,7 @@ mod tests {
         let large = apriori(
             &b.build(),
             MinSupport::Fraction(1.0),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
         )
         .unwrap();
         assert_eq!(large.support_of(&ids(&[1, 2])), Some(2));

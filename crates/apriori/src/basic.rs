@@ -6,7 +6,7 @@
 use crate::count::CountingBackend;
 use crate::itemset::LargeItemsets;
 use crate::levelwise::{GenLevelMiner, GenStrategy};
-use crate::parallel::Parallelism;
+use crate::parallel::{CancelToken, Obs, Parallelism};
 use crate::MinSupport;
 use negassoc_taxonomy::Taxonomy;
 use negassoc_txdb::TransactionSource;
@@ -15,28 +15,20 @@ use std::io;
 /// Mine all generalized large itemsets with the Basic algorithm. Every
 /// counting pass uses the worker pool `parallelism` selects; the result is
 /// identical for every policy.
+///
+/// Every pass checks `ctrl` at block boundaries and a cancelled run
+/// returns the token's [`io::ErrorKind::Interrupted`] error (see
+/// [`negassoc_txdb::ctrl`]); pass events flow to `obs`.
 pub fn basic<S: TransactionSource + ?Sized>(
     source: &S,
     tax: &Taxonomy,
     min_support: MinSupport,
     backend: CountingBackend,
     parallelism: Parallelism,
+    ctrl: Option<&CancelToken>,
+    obs: &Obs,
 ) -> io::Result<LargeItemsets> {
-    basic_with_ctrl(source, tax, min_support, backend, parallelism, None)
-}
-
-/// [`basic`] under an optional cancel token: every pass checks `ctrl` at
-/// block boundaries and a cancelled run returns the token's
-/// [`io::ErrorKind::Interrupted`] error (see [`negassoc_txdb::ctrl`]).
-pub fn basic_with_ctrl<S: TransactionSource + ?Sized>(
-    source: &S,
-    tax: &Taxonomy,
-    min_support: MinSupport,
-    backend: CountingBackend,
-    parallelism: Parallelism,
-    ctrl: Option<&negassoc_txdb::ctrl::CancelToken>,
-) -> io::Result<LargeItemsets> {
-    GenLevelMiner::new_with_ctrl(
+    GenLevelMiner::new(
         source,
         tax,
         min_support,
@@ -44,6 +36,7 @@ pub fn basic_with_ctrl<S: TransactionSource + ?Sized>(
         backend,
         parallelism,
         ctrl,
+        obs,
     )?
     .run_to_completion()
 }
@@ -90,8 +83,10 @@ pub(crate) mod tests {
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
 
@@ -137,12 +132,15 @@ pub(crate) mod tests {
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         let flat =
-            crate::apriori::apriori(&db, MinSupport::Count(2), CountingBackend::HashTree).unwrap();
+            crate::apriori::apriori(&db, MinSupport::Count(2), CountingBackend::SubsetHashMap)
+                .unwrap();
         assert_eq!(gen.total(), flat.total());
         for (set, sup) in flat.iter() {
             assert_eq!(gen.support_of_set(set), Some(sup));
@@ -157,8 +155,10 @@ pub(crate) mod tests {
             &db,
             &tax,
             MinSupport::Fraction(0.5),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(large.total(), 0);

@@ -1,146 +1,46 @@
 //! Support-counting backends.
 //!
-//! Every pass-based miner in this workspace funnels through
-//! [`count_candidates`] (one candidate size) or [`count_mixed`] (candidates
-//! of several sizes in a single pass, as the improved negative algorithm
-//! requires). The *mapper* hook lets generalized mining extend each
-//! transaction with taxonomy ancestors — counting itself is agnostic.
+//! Every pass-based miner in this workspace counts through
+//! [`crate::parallel::count_mixed_parallel`] (candidates of any sizes in a
+//! single pass, with the worker pool its [`Parallelism`] selects). The
+//! caller's mapper lets generalized mining extend each transaction with
+//! taxonomy ancestors — counting itself is agnostic.
 //!
 //! Backends:
 //!
-//! * [`CountingBackend::HashTree`] — the classic hash tree (default; best
-//!   for large candidate sets),
-//! * [`CountingBackend::SubsetHashMap`] — a hash map keyed by candidate,
-//!   probed either by enumerating the transaction's k-subsets or by testing
-//!   each candidate, whichever is cheaper per transaction,
-//! * [`CountingBackend::TidBitmap`] — vertical counting: the pass builds
-//!   one packed bitset row per item the candidates mention, then every
-//!   candidate is counted by word-wise AND + popcount (see
+//! * [`CountingBackend::TidBitmap`] (default) — vertical counting: the
+//!   pass builds one packed bitset row per item the candidates mention,
+//!   then every candidate is counted by word-wise AND + popcount (see
 //!   [`negassoc_txdb::vertical`]; DESIGN.md §14); a pass of dense pairs
 //!   (every candidate a pair, filling at least half of the triangle over
 //!   their items, as at L2) is counted in a triangular pair matrix instead,
-//! * [`crate::count::count_with_tidlists`] — vertical counting against a
-//!   prebuilt [`negassoc_txdb::vertical::TidListIndex`] (no database pass at
-//!   all).
+//! * [`CountingBackend::SubsetHashMap`] — a hash map keyed by candidate,
+//!   probed either by enumerating the transaction's k-subsets or by testing
+//!   each candidate, whichever is cheaper per transaction. Small and
+//!   obviously correct: the reference the bitmap path is diffed against.
 //!
-//! All backends produce identical counts for identical inputs; the choice
+//! Both backends produce identical counts for identical inputs; the choice
 //! only moves wall time and memory.
+//!
+//! [`Parallelism`]: crate::parallel::Parallelism
 
-use crate::hash_tree::HashTree;
 use crate::itemset::Itemset;
 use negassoc_taxonomy::fxhash::{FxHashMap, FxHashSet};
 use negassoc_taxonomy::ItemId;
 use negassoc_txdb::block::DEFAULT_BLOCK_SIZE;
 use negassoc_txdb::obs::{metric, Event, Obs};
-use negassoc_txdb::vertical::{BitmapChunk, TidListIndex};
-use negassoc_txdb::TransactionSource;
+use negassoc_txdb::vertical::BitmapChunk;
 use std::io;
 
 /// Pass-based counting strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CountingBackend {
-    /// Hash tree subset counting (Agrawal & Srikant).
-    #[default]
-    HashTree,
     /// Candidate hash map with adaptive probing.
     SubsetHashMap,
     /// Vertical TID-bitmap counting: AND + popcount over per-item bitsets
     /// built during the pass.
+    #[default]
     TidBitmap,
-}
-
-/// Transforms a transaction's items before counting (e.g. extends them with
-/// taxonomy ancestors). Must leave `buf` strictly ascending.
-pub type Mapper<'a> = dyn FnMut(&[ItemId], &mut Vec<ItemId>) + 'a;
-
-/// The identity mapper: count over the literal transaction items.
-pub fn identity_mapper(items: &[ItemId], buf: &mut Vec<ItemId>) {
-    buf.clear();
-    buf.extend_from_slice(items);
-}
-
-/// Count the supports of same-size `candidates` over one pass of `source`.
-///
-/// Returns `(candidate, count)` pairs covering every input candidate.
-///
-/// # Panics
-/// Panics when candidates differ in size.
-pub fn count_candidates<S: TransactionSource + ?Sized>(
-    source: &S,
-    candidates: Vec<Itemset>,
-    backend: CountingBackend,
-    mapper: &mut Mapper<'_>,
-) -> io::Result<Vec<(Itemset, u64)>> {
-    if candidates.is_empty() {
-        return Ok(Vec::new());
-    }
-    let k = candidates[0].len();
-    assert!(
-        candidates.iter().all(|c| c.len() == k),
-        "count_candidates requires uniform candidate size"
-    );
-    if backend == CountingBackend::TidBitmap {
-        return count_bitmap(source, candidates, mapper);
-    }
-    let mut counter = Counter::build(k, candidates, backend);
-    let mut buf: Vec<ItemId> = Vec::new();
-    source.pass(&mut |t| {
-        mapper(t.items(), &mut buf);
-        counter.count(&buf);
-    })?;
-    Ok(counter.into_counts())
-}
-
-/// Count supports of mixed-size `candidates` in a *single* pass, grouping
-/// them per size internally.
-pub fn count_mixed<S: TransactionSource + ?Sized>(
-    source: &S,
-    candidates: Vec<Itemset>,
-    backend: CountingBackend,
-    mapper: &mut Mapper<'_>,
-) -> io::Result<Vec<(Itemset, u64)>> {
-    if candidates.is_empty() {
-        return Ok(Vec::new());
-    }
-    if backend == CountingBackend::TidBitmap {
-        return count_bitmap(source, candidates, mapper);
-    }
-    let mut by_size: FxHashMap<usize, Vec<Itemset>> = FxHashMap::default();
-    for c in candidates {
-        by_size.entry(c.len()).or_default().push(c);
-    }
-    // Each size gets its own counter *and* its own item filter: a size's
-    // counting structure only cares about items its candidates mention, and
-    // walking it with another size's items inflates the subset search. The
-    // filter is a linear scan per transaction — far cheaper than the walk
-    // it avoids.
-    let mut counters: Vec<(Counter, FxHashSet<ItemId>, Vec<ItemId>)> = by_size
-        .into_iter()
-        .filter(|(k, _)| *k > 0)
-        .map(|(k, cands)| {
-            let needed = items_of(&cands);
-            (Counter::build(k, cands, backend), needed, Vec::new())
-        })
-        .collect();
-    let single = counters.len() == 1;
-    let mut buf: Vec<ItemId> = Vec::new();
-    source.pass(&mut |t| {
-        mapper(t.items(), &mut buf);
-        for (counter, needed, scratch) in &mut counters {
-            if single {
-                // One size: the caller's mapper already filtered for it.
-                counter.count(&buf);
-            } else {
-                scratch.clear();
-                scratch.extend(buf.iter().copied().filter(|i| needed.contains(i)));
-                counter.count(scratch);
-            }
-        }
-    })?;
-    Ok(counters
-        .into_iter()
-        .flat_map(|(c, _, _)| c.into_counts())
-        .collect())
 }
 
 pub(crate) fn items_of(candidates: &[Itemset]) -> FxHashSet<ItemId> {
@@ -151,12 +51,12 @@ pub(crate) fn items_of(candidates: &[Itemset]) -> FxHashSet<ItemId> {
     s
 }
 
-/// The bitmap backend's pass-independent setup, shared by the sequential
-/// path here and the worker pool in [`crate::parallel`]: a dense row per
-/// item the candidates mention (categories included — the mapper already
-/// surfaces them per transaction, so a category row *is* the union of its
-/// descendants' occurrences), each candidate pre-resolved to its rows,
-/// and the counting layout the candidate shape selects.
+/// The bitmap backend's pass-independent setup, shared by every worker of
+/// the pool in [`crate::parallel`]: a dense row per item the candidates
+/// mention (categories included — the mapper already surfaces them per
+/// transaction, so a category row *is* the union of its descendants'
+/// occurrences), each candidate pre-resolved to its rows, and the counting
+/// layout the candidate shape selects.
 pub(crate) struct BitmapPlan {
     /// Item → dense bitmap row.
     pub(crate) row_of: FxHashMap<ItemId, u32>,
@@ -467,72 +367,25 @@ impl PairWorker {
     }
 }
 
-/// The sequential TID-bitmap pass behind [`count_candidates`] and
-/// [`count_mixed`] with [`CountingBackend::TidBitmap`]: one streaming pass
-/// fills one [`VerticalWorker`], then every candidate is read from it.
-/// Matching [`count_mixed`], zero-size candidates are dropped from the
-/// output.
-fn count_bitmap<S: TransactionSource + ?Sized>(
-    source: &S,
-    candidates: Vec<Itemset>,
-    mapper: &mut Mapper<'_>,
-) -> io::Result<Vec<(Itemset, u64)>> {
-    let plan = BitmapPlan::new(&candidates);
-    let mut worker = plan.worker();
-    let mut buf: Vec<ItemId> = Vec::new();
-    let mut transactions = 0u64;
-    source.pass(&mut |t| {
-        mapper(t.items(), &mut buf);
-        worker.add(&buf, &plan.row_of);
-        transactions += 1;
-    })?;
-    let totals = plan.merge([plan.tally(worker)], transactions, &Obs::disabled())?;
-    Ok(candidates
-        .into_iter()
-        .zip(totals)
-        .filter(|(c, _)| !c.is_empty())
-        .collect())
-}
-
-/// One size's counting structure (shared with the parallel counting layer,
-/// where every worker owns one per candidate size).
-pub(crate) enum Counter {
-    Tree(HashTree),
-    Map {
-        k: usize,
-        map: FxHashMap<Itemset, u64>,
-    },
+/// One candidate size's [`CountingBackend::SubsetHashMap`] counter (every
+/// worker of the parallel counting layer owns one per candidate size).
+pub(crate) struct Counter {
+    k: usize,
+    map: FxHashMap<Itemset, u64>,
 }
 
 impl Counter {
-    pub(crate) fn build(k: usize, candidates: Vec<Itemset>, backend: CountingBackend) -> Self {
-        match backend {
-            // The bitmap backend is dispatched to its vertical path before
-            // any Counter exists; if a call site ever misses that dispatch
-            // the hash tree still produces exact counts (slower, never
-            // wrong).
-            CountingBackend::HashTree | CountingBackend::TidBitmap => {
-                Counter::Tree(HashTree::build(k, candidates))
-            }
-            CountingBackend::SubsetHashMap => {
-                let map = candidates.into_iter().map(|c| (c, 0)).collect();
-                Counter::Map { k, map }
-            }
-        }
+    pub(crate) fn build(k: usize, candidates: Vec<Itemset>) -> Self {
+        let map = candidates.into_iter().map(|c| (c, 0)).collect();
+        Counter { k, map }
     }
 
     pub(crate) fn count(&mut self, items: &[ItemId]) {
-        match self {
-            Counter::Tree(t) => t.count_transaction(items),
-            Counter::Map { k, map } => count_into_map(items, *k, map),
-        }
+        count_into_map(items, self.k, &mut self.map);
     }
 
     pub(crate) fn into_counts(self) -> Vec<(Itemset, u64)> {
-        match self {
-            Counter::Tree(t) => t.into_counts(),
-            Counter::Map { map, .. } => map.into_iter().collect(),
-        }
+        self.map.into_iter().collect()
     }
 }
 
@@ -596,21 +449,10 @@ fn binomial(n: usize, k: usize) -> u128 {
     acc
 }
 
-/// Count `candidates` (any sizes) against a prebuilt vertical index; no
-/// database pass is made.
-pub fn count_with_tidlists(index: &TidListIndex, candidates: Vec<Itemset>) -> Vec<(Itemset, u64)> {
-    candidates
-        .into_iter()
-        .map(|c| {
-            let s = index.support(c.items());
-            (c, s)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{count_mixed_parallel, identity_sync_mapper, Parallelism, SyncMapper};
     use negassoc_txdb::TransactionDbBuilder;
 
     fn set(v: &[u32]) -> Itemset {
@@ -631,6 +473,29 @@ mod tests {
         v
     }
 
+    /// One sequential pass through the shared counting entry point.
+    fn count(
+        db: &negassoc_txdb::TransactionDb,
+        candidates: Vec<Itemset>,
+        backend: CountingBackend,
+        mapper: &SyncMapper<'_>,
+    ) -> Vec<(Itemset, u64)> {
+        count_mixed_parallel(
+            db,
+            candidates,
+            backend,
+            mapper,
+            Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
+        )
+        .unwrap()
+        .counts
+    }
+
+    const BACKENDS: [CountingBackend; 2] =
+        [CountingBackend::SubsetHashMap, CountingBackend::TidBitmap];
+
     #[test]
     fn backends_agree_on_pairs() {
         let db = sample_db();
@@ -641,9 +506,8 @@ mod tests {
             (set(&[2, 3]), 2),
             (set(&[3, 4]), 1),
         ];
-        for backend in [CountingBackend::HashTree, CountingBackend::SubsetHashMap] {
-            let got =
-                count_candidates(&db, candidates.clone(), backend, &mut identity_mapper).unwrap();
+        for backend in BACKENDS {
+            let got = count(&db, candidates.clone(), backend, &identity_sync_mapper);
             assert_eq!(sorted(got), expected, "{backend:?}");
         }
     }
@@ -652,58 +516,40 @@ mod tests {
     fn mixed_sizes_single_structure_per_size() {
         let db = sample_db();
         let candidates = vec![set(&[1]), set(&[1, 2]), set(&[1, 2, 3])];
-        let got = sorted(
-            count_mixed(
-                &db,
-                candidates,
-                CountingBackend::HashTree,
-                &mut identity_mapper,
-            )
-            .unwrap(),
-        );
-        assert_eq!(
-            got,
-            vec![(set(&[1]), 3), (set(&[1, 2]), 2), (set(&[1, 2, 3]), 1)]
-        );
+        for backend in BACKENDS {
+            let got = count(&db, candidates.clone(), backend, &identity_sync_mapper);
+            assert_eq!(
+                got,
+                vec![(set(&[1]), 3), (set(&[1, 2]), 2), (set(&[1, 2, 3]), 1)],
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
     fn mapper_can_rewrite_transactions() {
         let db = sample_db();
         // A mapper that drops item 3 from every transaction.
-        let mut mapper = |items: &[ItemId], buf: &mut Vec<ItemId>| {
+        let mapper = |items: &[ItemId], buf: &mut Vec<ItemId>| {
             buf.clear();
             buf.extend(items.iter().copied().filter(|i| i.0 != 3));
         };
-        let got = count_candidates(
-            &db,
-            vec![set(&[2, 3]), set(&[1, 2])],
-            CountingBackend::HashTree,
-            &mut mapper,
-        )
-        .unwrap();
-        assert_eq!(sorted(got), vec![(set(&[1, 2]), 2), (set(&[2, 3]), 0)]);
+        for backend in BACKENDS {
+            let got = count(&db, vec![set(&[2, 3]), set(&[1, 2])], backend, &mapper);
+            assert_eq!(
+                got,
+                vec![(set(&[2, 3]), 0), (set(&[1, 2]), 2)],
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
     fn empty_candidates_short_circuit() {
         let db = sample_db();
-        assert!(count_candidates(
-            &db,
-            Vec::new(),
-            CountingBackend::HashTree,
-            &mut identity_mapper
-        )
-        .unwrap()
-        .is_empty());
-        assert!(count_mixed(
-            &db,
-            Vec::new(),
-            CountingBackend::HashTree,
-            &mut identity_mapper
-        )
-        .unwrap()
-        .is_empty());
+        for backend in BACKENDS {
+            assert!(count(&db, Vec::new(), backend, &identity_sync_mapper).is_empty());
+        }
     }
 
     #[test]
@@ -806,7 +652,7 @@ mod tests {
             3 | 4 => Some(200),
             _ => None,
         };
-        let mut mapper = |items: &[ItemId], buf: &mut Vec<ItemId>| {
+        let mapper = |items: &[ItemId], buf: &mut Vec<ItemId>| {
             buf.clear();
             buf.extend_from_slice(items);
             buf.extend(items.iter().filter_map(|i| parent(i.0)).map(ItemId));
@@ -846,18 +692,9 @@ mod tests {
         for (cands, dense) in [(all, true), (dense8, true), (sparse, false)] {
             let n = cands.len();
             assert_eq!(BitmapPlan::new(&cands).pairs, dense, "{n} pairs");
-            let want = sorted(
-                count_candidates(
-                    &db,
-                    cands.clone(),
-                    CountingBackend::SubsetHashMap,
-                    &mut mapper,
-                )
-                .unwrap(),
-            );
-            let got =
-                count_candidates(&db, cands, CountingBackend::TidBitmap, &mut mapper).unwrap();
-            assert_eq!(sorted(got), want, "{n} pairs");
+            let want = count(&db, cands.clone(), CountingBackend::SubsetHashMap, &mapper);
+            let got = count(&db, cands, CountingBackend::TidBitmap, &mapper);
+            assert_eq!(got, want, "{n} pairs");
         }
     }
 
@@ -868,17 +705,33 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
+    /// Vertical counting answers candidates of every size, including
+    /// items the data never mentions, exactly like the hash map.
     #[test]
     fn vertical_counting_matches() {
         let db = sample_db();
-        let idx = TidListIndex::build(&db).unwrap();
-        let got = sorted(count_with_tidlists(
-            &idx,
-            vec![set(&[1, 2]), set(&[1, 2, 3]), set(&[9])],
-        ));
+        let candidates = vec![set(&[1, 2]), set(&[1, 2, 3]), set(&[9]), set(&[3, 9])];
+        let got = count(
+            &db,
+            candidates.clone(),
+            CountingBackend::TidBitmap,
+            &identity_sync_mapper,
+        );
         assert_eq!(
             got,
-            vec![(set(&[1, 2]), 2), (set(&[1, 2, 3]), 1), (set(&[9]), 0)]
+            vec![
+                (set(&[1, 2]), 2),
+                (set(&[1, 2, 3]), 1),
+                (set(&[9]), 0),
+                (set(&[3, 9]), 0)
+            ]
         );
+        let reference = count(
+            &db,
+            candidates,
+            CountingBackend::SubsetHashMap,
+            &identity_sync_mapper,
+        );
+        assert_eq!(got, reference);
     }
 }

@@ -17,7 +17,7 @@
 use crate::count::CountingBackend;
 use crate::itemset::LargeItemsets;
 use crate::levelwise::{GenLevelMiner, GenStrategy};
-use crate::parallel::Parallelism;
+use crate::parallel::{CancelToken, Obs, Parallelism};
 use crate::MinSupport;
 use negassoc_taxonomy::Taxonomy;
 use negassoc_txdb::TransactionSource;
@@ -25,9 +25,13 @@ use std::io;
 
 /// Mine all generalized large itemsets with the Cumulate algorithm.
 ///
+/// Every pass checks `ctrl` at block boundaries and a cancelled run
+/// returns the token's [`io::ErrorKind::Interrupted`] error (see
+/// [`negassoc_txdb::ctrl`]); pass events flow to `obs`.
+///
 /// ```
 /// use negassoc_apriori::{cumulate::cumulate, count::CountingBackend, MinSupport};
-/// use negassoc_apriori::parallel::Parallelism;
+/// use negassoc_apriori::parallel::{Obs, Parallelism};
 /// use negassoc_taxonomy::TaxonomyBuilder;
 /// use negassoc_txdb::TransactionDbBuilder;
 ///
@@ -47,8 +51,10 @@ use std::io;
 ///     &db,
 ///     &tax,
 ///     MinSupport::Count(2),
-///     CountingBackend::HashTree,
+///     CountingBackend::TidBitmap,
 ///     Parallelism::Sequential,
+///     None,
+///     &Obs::disabled(),
 /// )
 /// .unwrap();
 /// // The category "drinks" is supported by every transaction even though
@@ -62,22 +68,10 @@ pub fn cumulate<S: TransactionSource + ?Sized>(
     min_support: MinSupport,
     backend: CountingBackend,
     parallelism: Parallelism,
+    ctrl: Option<&CancelToken>,
+    obs: &Obs,
 ) -> io::Result<LargeItemsets> {
-    cumulate_with_ctrl(source, tax, min_support, backend, parallelism, None)
-}
-
-/// [`cumulate`] under an optional cancel token: every pass checks `ctrl`
-/// at block boundaries and a cancelled run returns the token's
-/// [`io::ErrorKind::Interrupted`] error (see [`negassoc_txdb::ctrl`]).
-pub fn cumulate_with_ctrl<S: TransactionSource + ?Sized>(
-    source: &S,
-    tax: &Taxonomy,
-    min_support: MinSupport,
-    backend: CountingBackend,
-    parallelism: Parallelism,
-    ctrl: Option<&negassoc_txdb::ctrl::CancelToken>,
-) -> io::Result<LargeItemsets> {
-    GenLevelMiner::new_with_ctrl(
+    GenLevelMiner::new(
         source,
         tax,
         min_support,
@@ -85,6 +79,7 @@ pub fn cumulate_with_ctrl<S: TransactionSource + ?Sized>(
         backend,
         parallelism,
         ctrl,
+        obs,
     )?
     .run_to_completion()
 }
@@ -104,16 +99,20 @@ mod tests {
                 &db,
                 &tax,
                 MinSupport::Count(ms),
-                CountingBackend::HashTree,
+                CountingBackend::SubsetHashMap,
                 Parallelism::Sequential,
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
             let b = cumulate(
                 &db,
                 &tax,
                 MinSupport::Count(ms),
-                CountingBackend::HashTree,
+                CountingBackend::TidBitmap,
                 Parallelism::Sequential,
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
             assert_eq!(a.total(), b.total(), "minsup {ms}");
@@ -131,8 +130,10 @@ mod tests {
             &pc,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         let cumulate_passes = pc.passes();
@@ -141,8 +142,10 @@ mod tests {
             &pc,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(cumulate_passes, pc.passes());
@@ -159,6 +162,8 @@ mod tests {
             MinSupport::Count(3),
             CountingBackend::SubsetHashMap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(large.support_of(&[clothes]), Some(3));
@@ -173,8 +178,10 @@ mod tests {
             &db,
             &tax,
             MinSupport::Fraction(0.1),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(large.total(), 0);

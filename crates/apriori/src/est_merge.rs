@@ -15,7 +15,7 @@ use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
 use crate::generalized::{extend_full, prune_ancestor_pairs, AncestorTable};
 use crate::itemset::{Itemset, LargeItemsets};
-use crate::parallel::{count_mixed_parallel_ctrl, Obs, Parallelism, PassStats};
+use crate::parallel::{count_mixed_parallel, CancelToken, Obs, Parallelism, PassStats};
 use crate::MinSupport;
 use negassoc_taxonomy::fxhash::FxHashSet;
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -69,6 +69,15 @@ pub struct EstMergeStats {
 /// so its contents depend on stream order — which only the sequential
 /// scan pins down. Sample-estimation scans are in-memory and cheap, so
 /// they stay sequential too. Results are identical for every policy.
+///
+/// `ctrl` is checked before each full-database batch pass (and at block
+/// boundaries within it); a cancelled run returns the token's
+/// [`io::ErrorKind::Interrupted`] error (see [`negassoc_txdb::ctrl`]). The
+/// sequential sampling pass is guarded at its boundaries — it is one pass,
+/// the same interruption granularity every other miner offers. Pass
+/// start/end events for the sampling pass (`"est_sample"`) and every batch
+/// pass (`"est_batch"`) flow to `obs`.
+#[allow(clippy::too_many_arguments)]
 pub fn est_merge<S: TransactionSource + ?Sized>(
     source: &S,
     tax: &Taxonomy,
@@ -76,35 +85,7 @@ pub fn est_merge<S: TransactionSource + ?Sized>(
     backend: CountingBackend,
     config: EstMergeConfig,
     parallelism: Parallelism,
-) -> io::Result<(LargeItemsets, EstMergeStats)> {
-    est_merge_with_ctrl(
-        source,
-        tax,
-        min_support,
-        backend,
-        config,
-        parallelism,
-        None,
-        &Obs::disabled(),
-    )
-}
-
-/// [`est_merge`] under an optional cancel token: `ctrl` is checked before
-/// each full-database batch pass (and at block boundaries within it); a
-/// cancelled run returns the token's [`io::ErrorKind::Interrupted`] error
-/// (see [`negassoc_txdb::ctrl`]). The sequential sampling pass is guarded
-/// at its boundaries — it is one pass, the same interruption granularity
-/// every other miner offers. Pass start/end events for the sampling pass
-/// (`"est_sample"`) and every batch pass (`"est_batch"`) flow to `obs`.
-#[allow(clippy::too_many_arguments)]
-pub fn est_merge_with_ctrl<S: TransactionSource + ?Sized>(
-    source: &S,
-    tax: &Taxonomy,
-    min_support: MinSupport,
-    backend: CountingBackend,
-    config: EstMergeConfig,
-    parallelism: Parallelism,
-    ctrl: Option<&negassoc_txdb::ctrl::CancelToken>,
+    ctrl: Option<&CancelToken>,
     obs: &Obs,
 ) -> io::Result<(LargeItemsets, EstMergeStats)> {
     assert!(
@@ -207,7 +188,7 @@ pub fn est_merge_with_ctrl<S: TransactionSource + ?Sized>(
             let pass_started = std::time::Instant::now();
             let mapper =
                 |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, &ancestors, out);
-            let run = count_mixed_parallel_ctrl(
+            let run = count_mixed_parallel(
                 source,
                 std::mem::take(&mut batch),
                 backend,
@@ -298,14 +279,22 @@ fn split_by_estimate(
         stats.counted_immediately += candidates.len() as u64;
         return Ok((candidates, Vec::new()));
     }
-    let mut mapper = |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, ancestors, out);
-    let counted = crate::count::count_mixed(sample, candidates, backend, &mut mapper)?;
+    let mapper = |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, ancestors, out);
+    let counted = count_mixed_parallel(
+        sample,
+        candidates,
+        backend,
+        &mapper,
+        Parallelism::Sequential,
+        None,
+        &Obs::disabled(),
+    )?;
     let scale = num_transactions as f64 / sample.len() as f64;
     // negassoc-lint: allow(L005) -- sample-scaled threshold; supports are exact in f64 up to 2^53
     let threshold = safety_factor * minsup as f64;
     let mut expected = Vec::new();
     let mut deferred = Vec::new();
-    for (set, sample_count) in counted {
+    for (set, sample_count) in counted.counts {
         if sample_count as f64 * scale >= threshold {
             expected.push(set);
         } else {
@@ -338,8 +327,10 @@ mod tests {
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::SubsetHashMap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         for (frac, seed) in [(0.0, 1u64), (0.5, 2), (1.0, 3), (0.3, 42)] {
@@ -347,13 +338,15 @@ mod tests {
                 &db,
                 &tax,
                 MinSupport::Count(2),
-                CountingBackend::HashTree,
+                CountingBackend::TidBitmap,
                 EstMergeConfig {
                     sample_fraction: frac,
                     safety_factor: 0.9,
                     seed,
                 },
                 Parallelism::Threads(if seed % 2 == 0 { 3 } else { 1 }),
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
             assert_same_large(&reference, &got);
@@ -367,12 +360,14 @@ mod tests {
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             EstMergeConfig {
                 sample_fraction: 0.0,
                 ..EstMergeConfig::default()
             },
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(stats.sample_size, 0);
@@ -387,13 +382,15 @@ mod tests {
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             EstMergeConfig {
                 sample_fraction: 1.0,
                 safety_factor: 1.0,
                 seed: 7,
             },
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         // With the whole database as the sample and safety factor 1, the
@@ -415,18 +412,22 @@ mod tests {
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             cfg,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         let (b, sb) = est_merge(
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             cfg,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_same_large(&a, &b);
@@ -441,9 +442,11 @@ mod tests {
             &pc,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             EstMergeConfig::default(),
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(stats.passes, pc.passes());

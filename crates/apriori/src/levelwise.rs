@@ -13,7 +13,7 @@ use crate::generalized::{
 };
 use crate::itemset::{Itemset, LargeItemsets};
 use crate::parallel::{
-    count_items_parallel_ctrl, count_mixed_parallel_ctrl, CancelToken, Obs, Parallelism, PassStats,
+    count_items_parallel, count_mixed_parallel, CancelToken, Obs, Parallelism, PassStats,
 };
 use crate::MinSupport;
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -107,6 +107,15 @@ pub struct GenLevelMiner<'a, S: TransactionSource + ?Sized> {
 
 impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
     /// Mine level 1 (one pass) and prepare for stepping.
+    ///
+    /// The level-1 pass and every subsequent [`Self::mine_next_level`]
+    /// check `ctrl` at block and pass boundaries; a cancelled step returns
+    /// the token's [`io::ErrorKind::Interrupted`] error and consumes no
+    /// miner state. Every pass emits [`Event::PassStart`]/[`Event::PassEnd`]
+    /// to `obs`, and the block layer below it reports dispatch/merge and
+    /// scan counters.
+    #[allow(clippy::too_many_arguments)]
+    // negassoc-lint: allow(L010) -- the level-1 scan polls inside count_items_parallel; the remaining loop is a bounded in-memory threshold sweep over item counts
     pub fn new(
         source: &'a S,
         tax: &Taxonomy,
@@ -114,58 +123,8 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
         strategy: GenStrategy,
         backend: CountingBackend,
         parallelism: Parallelism,
-    ) -> io::Result<Self> {
-        Self::new_with_ctrl(
-            source,
-            tax,
-            min_support,
-            strategy,
-            backend,
-            parallelism,
-            None,
-        )
-    }
-
-    /// [`Self::new`] under a cancel token: the level-1 pass and every
-    /// subsequent [`Self::mine_next_level`] check `ctrl` at block and pass
-    /// boundaries; a cancelled step returns the token's
-    /// [`io::ErrorKind::Interrupted`] error and consumes no miner state.
-    pub fn new_with_ctrl(
-        source: &'a S,
-        tax: &Taxonomy,
-        min_support: MinSupport,
-        strategy: GenStrategy,
-        backend: CountingBackend,
-        parallelism: Parallelism,
         ctrl: Option<&'a CancelToken>,
-    ) -> io::Result<Self> {
-        Self::new_observed(
-            source,
-            tax,
-            min_support,
-            strategy,
-            backend,
-            parallelism,
-            ctrl,
-            Obs::disabled(),
-        )
-    }
-
-    /// [`Self::new_with_ctrl`] with an observability handle: the level-1
-    /// pass made here (and every subsequent level) emits
-    /// [`Event::PassStart`]/[`Event::PassEnd`] to `obs`, and the block
-    /// layer below it reports dispatch/merge and scan counters.
-    #[allow(clippy::too_many_arguments)]
-    // negassoc-lint: allow(L010) -- the level-1 scan polls inside count_items_parallel_ctrl; the remaining loop is a bounded in-memory threshold sweep over item counts
-    pub fn new_observed(
-        source: &'a S,
-        tax: &Taxonomy,
-        min_support: MinSupport,
-        strategy: GenStrategy,
-        backend: CountingBackend,
-        parallelism: Parallelism,
-        ctrl: Option<&'a CancelToken>,
-        obs: Obs,
+        obs: &Obs,
     ) -> io::Result<Self> {
         let ancestors = AncestorTable::new(tax);
         let started = Instant::now();
@@ -175,7 +134,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
         });
         let mapper = |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, &ancestors, out);
         let (counts, num_transactions) =
-            count_items_parallel_ctrl(source, tax.len(), &mapper, parallelism, ctrl, &obs)?;
+            count_items_parallel(source, tax.len(), &mapper, parallelism, ctrl, obs)?;
         let pass_stats = vec![PassStats {
             pass: 1,
             label: "L1".to_string(),
@@ -215,7 +174,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             candidate_cap: None,
             pass_stats,
             ctrl,
-            obs,
+            obs: obs.clone(),
         })
     }
 
@@ -228,22 +187,6 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
     /// never fails.
     pub fn with_candidate_cap(mut self, cap: Option<usize>) -> Self {
         self.candidate_cap = cap;
-        self
-    }
-
-    /// Attach (or detach) a cancel token after construction — the resume
-    /// path's counterpart to [`Self::new_with_ctrl`], since
-    /// [`Self::resume`] makes no pass of its own.
-    pub fn with_ctrl(mut self, ctrl: Option<&'a CancelToken>) -> Self {
-        self.ctrl = ctrl;
-        self
-    }
-
-    /// Attach an observability handle after construction — the resume
-    /// path's counterpart to [`Self::new_observed`], since
-    /// [`Self::resume`] makes no pass of its own.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
         self
     }
 
@@ -302,7 +245,10 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
     /// completed levels (and without the level-1 pass [`Self::new`] makes).
     /// The caller must supply the same database, taxonomy and parameters
     /// the snapshot was taken under; the resumed miner then finds exactly
-    /// the large itemsets an uninterrupted run would.
+    /// the large itemsets an uninterrupted run would. `ctrl` and `obs`
+    /// govern the passes the resumed miner makes, as in [`Self::new`].
+    #[allow(clippy::too_many_arguments)]
+    // negassoc-lint: allow(L010) -- the loop rebuilds the snapshot in memory with no database pass; `ctrl` governs the passes `mine_next_level` makes afterwards
     pub fn resume(
         source: &'a S,
         tax: &Taxonomy,
@@ -310,6 +256,8 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
         backend: CountingBackend,
         parallelism: Parallelism,
         state: MinerState,
+        ctrl: Option<&'a CancelToken>,
+        obs: &Obs,
     ) -> Self {
         let ancestors = AncestorTable::new(tax);
         let mut large = LargeItemsets::new(state.num_transactions, state.minsup);
@@ -335,8 +283,8 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             done: state.done,
             candidate_cap: None,
             pass_stats: Vec::new(),
-            ctrl: None,
-            obs: Obs::disabled(),
+            ctrl,
+            obs: obs.clone(),
         }
     }
 
@@ -383,7 +331,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
                 let ancestors = &self.ancestors;
                 let mapper =
                     |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, ancestors, out);
-                count_mixed_parallel_ctrl(
+                count_mixed_parallel(
                     self.source,
                     candidates,
                     self.backend,
@@ -399,7 +347,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
                 let mapper = |items: &[ItemId], out: &mut Vec<ItemId>| {
                     extend_filtered(items, ancestors, &needed, out)
                 };
-                count_mixed_parallel_ctrl(
+                count_mixed_parallel(
                     self.source,
                     candidates,
                     self.backend,
@@ -462,8 +410,10 @@ mod tests {
                 &tax,
                 MinSupport::Count(2),
                 GenStrategy::Cumulate,
-                CountingBackend::HashTree,
+                CountingBackend::TidBitmap,
                 Parallelism::Sequential,
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
             let mut per_level = Vec::new();
@@ -479,8 +429,10 @@ mod tests {
             &tax,
             MinSupport::Count(2),
             GenStrategy::Cumulate,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap()
         .run_to_completion()
@@ -497,8 +449,10 @@ mod tests {
             &tax,
             MinSupport::Count(2),
             GenStrategy::Cumulate,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap()
         .with_candidate_cap(Some(0));
@@ -520,8 +474,10 @@ mod tests {
             &tax,
             MinSupport::Count(2),
             GenStrategy::Cumulate,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap()
         .with_candidate_cap(Some(1000))
@@ -540,8 +496,10 @@ mod tests {
             &tax,
             MinSupport::Count(2),
             GenStrategy::Cumulate,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap()
         .run_to_completion()
@@ -554,8 +512,10 @@ mod tests {
                 &tax,
                 MinSupport::Count(2),
                 GenStrategy::Cumulate,
-                CountingBackend::HashTree,
+                CountingBackend::TidBitmap,
                 Parallelism::Sequential,
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
             m.state()
@@ -566,9 +526,11 @@ mod tests {
             &db,
             &tax,
             GenStrategy::Cumulate,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
             state,
+            None,
+            &Obs::disabled(),
         )
         .run_to_completion()
         .unwrap();
@@ -585,8 +547,10 @@ mod tests {
             &tax,
             MinSupport::Count(2),
             GenStrategy::Cumulate,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap()
         .state();
@@ -594,9 +558,11 @@ mod tests {
             &db,
             &tax,
             GenStrategy::Cumulate,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
             a.clone(),
+            None,
+            &Obs::disabled(),
         )
         .state();
         assert_eq!(a, b);
@@ -610,8 +576,10 @@ mod tests {
             &tax,
             MinSupport::Count(100),
             GenStrategy::Basic,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert!(m.is_done());

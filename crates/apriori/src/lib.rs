@@ -12,9 +12,10 @@
 //!   per-level result store with O(1) support lookup,
 //! * [`gen::apriori_gen`] — the join + prune candidate generator
 //!   of Agrawal & Srikant (VLDB '94),
-//! * [`HashTree`] — the classic hash-tree subset counter,
-//! * [`count`] — interchangeable counting backends (hash tree, per-candidate
-//!   hash map, vertical TID-lists),
+//! * [`count`] — the two counting backends: vertical TID bitmaps (the
+//!   default) and the per-candidate hash map they are checked against,
+//! * [`parallel`] — the one counting entry point, sequential or on a
+//!   worker pool, with cancellation and observability,
 //! * [`apriori`] — flat (taxonomy-less) Apriori,
 //! * [`basic`], [`cumulate`], [`est_merge`] — generalized mining,
 //! * [`rules`] — positive association rules via ap-genrules.
@@ -31,19 +32,17 @@
 //! b.add([ItemId(1)]);
 //! let db = b.build();
 //!
-//! let large = apriori(&db, MinSupport::Fraction(0.5), CountingBackend::HashTree).unwrap();
+//! let large = apriori(&db, MinSupport::Fraction(0.5), CountingBackend::TidBitmap).unwrap();
 //! assert_eq!(large.support_of(&[ItemId(0), ItemId(1)]), Some(3));
 //! ```
 
 pub mod apriori;
-pub mod apriori_tid;
 pub mod basic;
 pub mod count;
 pub mod cumulate;
 pub mod est_merge;
 pub mod gen;
 pub mod generalized;
-pub mod hash_tree;
 pub mod levelwise;
 pub mod parallel;
 pub mod partition_mine;
@@ -51,7 +50,6 @@ pub mod rules;
 
 mod itemset;
 
-pub use hash_tree::HashTree;
 pub use itemset::{Itemset, LargeItemsets};
 
 /// Minimum support, either as a fraction of the database or an absolute

@@ -6,9 +6,10 @@
 //! stream *any* [`TransactionSource`] — in-memory or file-backed — through
 //! [`negassoc_txdb::block::parallel_pass`]: the caller's thread slices the
 //! single pass into fixed-size blocks, a pool of `std::thread::scope`
-//! workers counts them with private [`HashTree`]/hash-map structures and
+//! workers counts them with private bitmap or hash-map structures and
 //! mapper buffers (no locks on the hot path), and per-candidate counts are
-//! merged additively at the end.
+//! merged additively at the end. With [`Parallelism::Sequential`] the same
+//! cycle runs inline on the caller, with no thread, channel or lock.
 //!
 //! Counts are **exact**: blocks partition the pass, so per-worker tallies
 //! are partition counts that sum to the sequential answer (Savasere et
@@ -17,14 +18,12 @@
 //! in the order the caller supplied — so sequential and parallel runs of
 //! the same pass produce identical `(candidate, count)` sequences, which
 //! is the foundation of the pipeline's byte-identical-output contract.
-//!
-//! [`HashTree`]: crate::hash_tree::HashTree
 
 use crate::count::{items_of, BitmapPlan, Counter, CountingBackend};
 use crate::itemset::Itemset;
 use negassoc_taxonomy::fxhash::{FxHashMap, FxHashSet};
 use negassoc_taxonomy::ItemId;
-use negassoc_txdb::block::{parallel_pass_ctrl, DEFAULT_BLOCK_SIZE};
+use negassoc_txdb::block::{parallel_pass, DEFAULT_BLOCK_SIZE};
 use negassoc_txdb::TransactionSource;
 use std::io;
 
@@ -32,10 +31,9 @@ pub use negassoc_txdb::block::Parallelism;
 pub use negassoc_txdb::ctrl::CancelToken;
 pub use negassoc_txdb::obs::{Obs, PassStats};
 
-/// A transaction mapper shareable across counting workers (the `Sync`
-/// sibling of [`crate::count::Mapper`]): transforms a transaction's items
-/// into the counting buffer, e.g. taxonomy-ancestor extension. Must leave
-/// the buffer strictly ascending.
+/// A transaction mapper shareable across counting workers: transforms a
+/// transaction's items into the counting buffer, e.g. taxonomy-ancestor
+/// extension. Must leave the buffer strictly ascending.
 pub type SyncMapper<'a> = dyn Fn(&[ItemId], &mut Vec<ItemId>) + Sync + 'a;
 
 /// The identity [`SyncMapper`]: count over the literal transaction items.
@@ -59,40 +57,23 @@ pub struct PassRun {
 /// Count supports of mixed-size `candidates` in a single pass of `source`
 /// using the worker pool `parallelism` resolves to.
 ///
-/// This is the workspace's one parallel counting entry point (the former
-/// in-memory-only partitioned counter is folded into it). Semantics match
-/// [`crate::count::count_mixed`] exactly — same grouping per candidate
-/// size, same per-size item filters — with two guarantees on top:
+/// This is the workspace's one counting entry point. The hash-map backend
+/// groups candidates per size, each size with its own item filter; the
+/// bitmap backend builds and counts in the same pass. On top of exact
+/// counts it guarantees:
 ///
 /// * **total merge**: the output holds every input candidate exactly once,
 ///   in input order, with its exact support (nothing is silently dropped),
 /// * **determinism**: the output is identical for every `parallelism`
-///   value, because block counts are order-independent `u64` additions.
+///   value and both backends, because block counts are order-independent
+///   `u64` additions.
+///
+/// The pool checks `ctrl` at block boundaries and a cancelled pass returns
+/// the token's [`io::ErrorKind::Interrupted`] error instead of partial
+/// counts (see [`negassoc_txdb::ctrl`]). Block dispatch/merge events and
+/// the scan counters flow to `obs` (see [`negassoc_txdb::obs`]).
+// negassoc-lint: allow(L010) -- parallel_pass polls at block boundaries; the loops here are candidate grouping and worker-closure counting over blocks it already dispatched
 pub fn count_mixed_parallel<S: TransactionSource + ?Sized>(
-    source: &S,
-    candidates: Vec<Itemset>,
-    backend: CountingBackend,
-    mapper: &SyncMapper<'_>,
-    parallelism: Parallelism,
-) -> io::Result<PassRun> {
-    count_mixed_parallel_ctrl(
-        source,
-        candidates,
-        backend,
-        mapper,
-        parallelism,
-        None,
-        &Obs::disabled(),
-    )
-}
-
-/// [`count_mixed_parallel`] with cooperative cancellation: the pool checks
-/// `ctrl` at block boundaries and a cancelled pass returns the token's
-/// [`io::ErrorKind::Interrupted`] error instead of partial counts (see
-/// [`negassoc_txdb::ctrl`]). Block dispatch/merge events and the scan
-/// counters flow to `obs` (see [`negassoc_txdb::obs`]).
-// negassoc-lint: allow(L010) -- parallel_pass_ctrl polls at block boundaries; the loops here are candidate grouping and worker-closure counting over blocks it already dispatched
-pub fn count_mixed_parallel_ctrl<S: TransactionSource + ?Sized>(
     source: &S,
     candidates: Vec<Itemset>,
     backend: CountingBackend,
@@ -114,8 +95,10 @@ pub fn count_mixed_parallel_ctrl<S: TransactionSource + ?Sized>(
     }
 
     // Group by size once; workers clone the per-size candidate lists to
-    // build their private counting structures. The per-size item filter
-    // (see count_mixed) is shared read-only across the pool.
+    // build their private counting structures. Each size gets its own item
+    // filter, shared read-only across the pool: a size's counter only
+    // cares about items its candidates mention, and probing it with
+    // another size's items inflates the subset search.
     let mut by_size: FxHashMap<usize, Vec<Itemset>> = FxHashMap::default();
     for c in &candidates {
         by_size.entry(c.len()).or_default().push(c.clone());
@@ -140,7 +123,7 @@ pub fn count_mixed_parallel_ctrl<S: TransactionSource + ?Sized>(
         scratch: Vec<ItemId>,
     }
 
-    let (parts, transactions) = parallel_pass_ctrl(
+    let (parts, transactions) = parallel_pass(
         source,
         threads,
         DEFAULT_BLOCK_SIZE,
@@ -149,7 +132,7 @@ pub fn count_mixed_parallel_ctrl<S: TransactionSource + ?Sized>(
         || Worker {
             counters: groups
                 .iter()
-                .map(|(k, cands, _)| Counter::build(*k, cands.clone(), backend))
+                .map(|(k, cands, _)| Counter::build(*k, cands.clone()))
                 .collect(),
             buf: Vec::new(),
             scratch: Vec::new(),
@@ -205,7 +188,7 @@ pub fn count_mixed_parallel_ctrl<S: TransactionSource + ?Sized>(
     })
 }
 
-/// The TID-bitmap arm of [`count_mixed_parallel_ctrl`]: build and count in
+/// The TID-bitmap arm of [`count_mixed_parallel`]: build and count in
 /// the *same* single pass. Each worker fills a private
 /// [`VerticalWorker`] from the transactions it is dealt — packed
 /// [`BitmapChunk`] row-ranges (one bit slot per transaction, rows only for
@@ -213,11 +196,11 @@ pub fn count_mixed_parallel_ctrl<S: TransactionSource + ?Sized>(
 /// when the plan picks it, a triangular pair matrix read cell by cell —
 /// then reports per-candidate partials. Workers cover disjoint transaction
 /// slices, so the partials merge by plain `u64` addition and the result is
-/// exact and identical to the horizontal backends for every thread count.
+/// exact and identical to the hash-map backend for every thread count.
 ///
 /// [`BitmapChunk`]: negassoc_txdb::vertical::BitmapChunk
 /// [`VerticalWorker`]: crate::count::VerticalWorker
-// negassoc-lint: allow(L010) -- parallel_pass_ctrl polls at block boundaries; the loops here are plan setup, worker-closure counting over dispatched blocks, and the in-memory partial-count merge
+// negassoc-lint: allow(L010) -- parallel_pass polls at block boundaries; the loops here are plan setup, worker-closure counting over dispatched blocks, and the in-memory partial-count merge
 fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
     source: &S,
     candidates: Vec<Itemset>,
@@ -229,7 +212,7 @@ fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
     let plan = BitmapPlan::new(&candidates);
     let plan = &plan;
 
-    let (parts, transactions) = parallel_pass_ctrl(
+    let (parts, transactions) = parallel_pass(
         source,
         threads,
         DEFAULT_BLOCK_SIZE,
@@ -256,28 +239,11 @@ fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
 /// The level-1 pass: per-item supports over one (possibly parallel) scan.
 ///
 /// Returns `counts[i]` = support of `ItemId(i)` for `i < num_items`
-/// (mapped items at or above `num_items` are ignored, matching the
-/// sequential level-1 pass), plus the number of transactions scanned.
+/// (mapped items at or above `num_items` are ignored), plus the number of
+/// transactions scanned. Cancellation and observability as in
+/// [`count_mixed_parallel`].
+// negassoc-lint: allow(L010) -- parallel_pass polls at block boundaries; the worker closure counts one dispatched block and the merge loop is in-memory
 pub fn count_items_parallel<S: TransactionSource + ?Sized>(
-    source: &S,
-    num_items: usize,
-    mapper: &SyncMapper<'_>,
-    parallelism: Parallelism,
-) -> io::Result<(Vec<u64>, u64)> {
-    count_items_parallel_ctrl(
-        source,
-        num_items,
-        mapper,
-        parallelism,
-        None,
-        &Obs::disabled(),
-    )
-}
-
-/// [`count_items_parallel`] with cooperative cancellation (see
-/// [`count_mixed_parallel_ctrl`]).
-// negassoc-lint: allow(L010) -- parallel_pass_ctrl polls at block boundaries; the worker closure counts one dispatched block and the merge loop is in-memory
-pub fn count_items_parallel_ctrl<S: TransactionSource + ?Sized>(
     source: &S,
     num_items: usize,
     mapper: &SyncMapper<'_>,
@@ -286,7 +252,7 @@ pub fn count_items_parallel_ctrl<S: TransactionSource + ?Sized>(
     obs: &Obs,
 ) -> io::Result<(Vec<u64>, u64)> {
     let threads = parallelism.resolve();
-    let (parts, transactions) = parallel_pass_ctrl(
+    let (parts, transactions) = parallel_pass(
         source,
         threads,
         DEFAULT_BLOCK_SIZE,
@@ -334,6 +300,28 @@ mod tests {
         b.build()
     }
 
+    const BACKENDS: [CountingBackend; 2] =
+        [CountingBackend::SubsetHashMap, CountingBackend::TidBitmap];
+
+    fn run<S: TransactionSource + ?Sized>(
+        source: &S,
+        candidates: Vec<Itemset>,
+        backend: CountingBackend,
+        mapper: &SyncMapper<'_>,
+        parallelism: Parallelism,
+    ) -> PassRun {
+        count_mixed_parallel(
+            source,
+            candidates,
+            backend,
+            mapper,
+            parallelism,
+            None,
+            &Obs::disabled(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn parallel_counts_match_sequential() {
         let db = sample_db(500);
@@ -344,14 +332,14 @@ mod tests {
             set(&[6, 11, 14]),
             set(&[2, 9]),
         ];
-        let mut sequential = crate::count::count_mixed(
+        let sequential = run(
             &db,
             candidates.clone(),
-            CountingBackend::HashTree,
-            &mut crate::count::identity_mapper,
+            CountingBackend::SubsetHashMap,
+            &identity_sync_mapper,
+            Parallelism::Sequential,
         )
-        .unwrap();
-        sequential.sort();
+        .counts;
         for parallelism in [
             Parallelism::Sequential,
             Parallelism::Threads(1),
@@ -360,20 +348,17 @@ mod tests {
             Parallelism::Threads(7),
             Parallelism::Auto,
         ] {
-            for backend in [CountingBackend::HashTree, CountingBackend::SubsetHashMap] {
-                let run = count_mixed_parallel(
+            for backend in BACKENDS {
+                let run = run(
                     &db,
                     candidates.clone(),
                     backend,
                     &identity_sync_mapper,
                     parallelism,
-                )
-                .unwrap();
+                );
                 assert_eq!(run.transactions, 500);
                 assert_eq!(run.threads, parallelism.resolve());
-                let mut parallel = run.counts;
-                parallel.sort();
-                assert_eq!(parallel, sequential, "{parallelism:?} {backend:?}");
+                assert_eq!(run.counts, sequential, "{parallelism:?} {backend:?}");
             }
         }
     }
@@ -384,36 +369,38 @@ mod tests {
     fn merge_is_total_and_order_preserving() {
         let db = sample_db(50);
         let candidates = vec![set(&[99]), set(&[0, 7]), set(&[98, 99])];
-        let run = count_mixed_parallel(
-            &db,
-            candidates.clone(),
-            CountingBackend::HashTree,
-            &identity_sync_mapper,
-            Parallelism::Threads(3),
-        )
-        .unwrap();
-        assert_eq!(run.counts.len(), 3);
-        for (i, (cand, _)) in run.counts.iter().enumerate() {
-            assert_eq!(cand, &candidates[i], "order preserved");
+        for backend in BACKENDS {
+            let run = run(
+                &db,
+                candidates.clone(),
+                backend,
+                &identity_sync_mapper,
+                Parallelism::Threads(3),
+            );
+            assert_eq!(run.counts.len(), 3);
+            for (i, (cand, _)) in run.counts.iter().enumerate() {
+                assert_eq!(cand, &candidates[i], "order preserved");
+            }
+            assert_eq!(run.counts[0].1, 0);
+            assert_eq!(run.counts[2].1, 0);
+            assert!(run.counts[1].1 > 0);
         }
-        assert_eq!(run.counts[0].1, 0);
-        assert_eq!(run.counts[2].1, 0);
-        assert!(run.counts[1].1 > 0);
     }
 
     #[test]
     fn empty_candidates_make_no_pass() {
         let db = sample_db(10);
         let pc = negassoc_txdb::PassCounter::new(db);
-        let run = count_mixed_parallel(
-            &pc,
-            Vec::new(),
-            CountingBackend::HashTree,
-            &identity_sync_mapper,
-            Parallelism::Threads(4),
-        )
-        .unwrap();
-        assert!(run.counts.is_empty());
+        for backend in BACKENDS {
+            let run = run(
+                &pc,
+                Vec::new(),
+                backend,
+                &identity_sync_mapper,
+                Parallelism::Threads(4),
+            );
+            assert!(run.counts.is_empty());
+        }
         assert_eq!(pc.passes(), 0);
     }
 
@@ -427,20 +414,24 @@ mod tests {
             }
         })
         .unwrap();
-        for threads in [1, 2, 5] {
-            let (got, transactions) = count_items_parallel(
+        let items = |num_items, parallelism| {
+            count_items_parallel(
                 &db,
-                15,
+                num_items,
                 &identity_sync_mapper,
-                Parallelism::Threads(threads),
+                parallelism,
+                None,
+                &Obs::disabled(),
             )
-            .unwrap();
+            .unwrap()
+        };
+        for threads in [1, 2, 5] {
+            let (got, transactions) = items(15, Parallelism::Threads(threads));
             assert_eq!(got, expect, "{threads} threads");
             assert_eq!(transactions, 300);
         }
         // Items beyond the requested bound are ignored, not a panic.
-        let (short, _) =
-            count_items_parallel(&db, 3, &identity_sync_mapper, Parallelism::Threads(2)).unwrap();
+        let (short, _) = items(3, Parallelism::Threads(2));
         assert_eq!(short, expect[..3]);
     }
 
@@ -455,24 +446,25 @@ mod tests {
             buf.extend_from_slice(items);
             buf.push(ItemId(20));
         };
-        let baseline = count_mixed_parallel(
+        let candidates = || vec![set(&[20]), set(&[0, 20])];
+        let baseline = run(
             &db,
-            vec![set(&[20]), set(&[0, 20])],
+            candidates(),
             CountingBackend::SubsetHashMap,
             &extend,
             Parallelism::Sequential,
-        )
-        .unwrap();
-        for threads in [2, 4] {
-            let run = count_mixed_parallel(
-                &db,
-                vec![set(&[20]), set(&[0, 20])],
-                CountingBackend::SubsetHashMap,
-                &extend,
-                Parallelism::Threads(threads),
-            )
-            .unwrap();
-            assert_eq!(run.counts, baseline.counts);
+        );
+        for backend in BACKENDS {
+            for threads in [2, 4] {
+                let run = run(
+                    &db,
+                    candidates(),
+                    backend,
+                    &extend,
+                    Parallelism::Threads(threads),
+                );
+                assert_eq!(run.counts, baseline.counts, "{backend:?} x{threads}");
+            }
         }
         assert_eq!(baseline.counts[0].1, 200);
     }

@@ -11,11 +11,13 @@
 //! results is a superset of the answer and the verification pass makes the
 //! result exact.
 //!
-//! Local mining uses per-partition TID-list intersection
-//! ([`negassoc_txdb::vertical`]), as in the original; with a taxonomy the
-//! index is generalized, so the same machinery mines generalized itemsets
+//! Local mining intersects per-partition vertical indexes, as in the
+//! original — here packed TID bitmaps ([`negassoc_txdb::vertical::TidBitmap`],
+//! AND + popcount) rather than TID lists; with a taxonomy the index is
+//! generalized, so the same machinery mines generalized itemsets
 //! (candidates containing an item and its ancestor are pruned as in
-//! [`crate::cumulate`]).
+//! [`crate::cumulate`]). The counting backend only selects how the
+//! phase-2 verification pass counts.
 
 use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
@@ -24,7 +26,7 @@ use crate::generalized::{
 };
 use crate::itemset::{Itemset, LargeItemsets};
 use crate::parallel::{
-    count_mixed_parallel_ctrl, identity_sync_mapper, CancelToken, Obs, Parallelism, PassStats,
+    count_mixed_parallel, identity_sync_mapper, CancelToken, Obs, Parallelism, PassStats,
 };
 use crate::MinSupport;
 use negassoc_taxonomy::fxhash::FxHashSet;
@@ -33,103 +35,22 @@ use negassoc_txdb::block::parallel_map;
 use negassoc_txdb::obs::{metric, Event};
 use negassoc_txdb::partition::partitions;
 use negassoc_txdb::shard::ShardAccess;
-use negassoc_txdb::vertical::{TidBitmap, TidListIndex};
+use negassoc_txdb::vertical::TidBitmap;
 use negassoc_txdb::{TransactionDb, TransactionSource};
 use std::io;
-
-/// What phase-1 local mining needs from a vertical index, satisfied by
-/// both the TID-list and the TID-bitmap representation. The backend
-/// selects which one each partition/shard builds; both answer exact local
-/// supports, so the unioned candidate set — and everything downstream —
-/// is identical.
-trait LocalIndex {
-    /// One past the largest item id with an index slot.
-    fn max_item_bound(&self) -> u32;
-    /// Support of a single item.
-    fn support_1(&self, item: ItemId) -> u64;
-    /// Support of an itemset.
-    fn support(&self, itemset: &[ItemId]) -> u64;
-}
-
-impl LocalIndex for TidListIndex {
-    fn max_item_bound(&self) -> u32 {
-        TidListIndex::max_item_bound(self)
-    }
-
-    fn support_1(&self, item: ItemId) -> u64 {
-        TidListIndex::support_1(self, item)
-    }
-
-    fn support(&self, itemset: &[ItemId]) -> u64 {
-        TidListIndex::support(self, itemset)
-    }
-}
-
-impl LocalIndex for TidBitmap {
-    fn max_item_bound(&self) -> u32 {
-        TidBitmap::max_item_bound(self)
-    }
-
-    fn support_1(&self, item: ItemId) -> u64 {
-        TidBitmap::support_1(self, item)
-    }
-
-    fn support(&self, itemset: &[ItemId]) -> u64 {
-        TidBitmap::support(self, itemset)
-    }
-}
-
-/// Build the backend-selected vertical index over one partition/shard.
-/// The bitmap build does its category unions once after the pass; the
-/// TID-list build extends every transaction during it. Same answers.
-fn build_local_index<S: TransactionSource>(
-    part: &S,
-    tax: Option<&Taxonomy>,
-    backend: CountingBackend,
-) -> io::Result<Box<dyn LocalIndex>> {
-    Ok(match (backend, tax) {
-        (CountingBackend::TidBitmap, Some(t)) => Box::new(TidBitmap::build_generalized(part, t)?),
-        (CountingBackend::TidBitmap, None) => Box::new(TidBitmap::build(part)?),
-        (_, Some(t)) => Box::new(TidListIndex::build_generalized(part, t)?),
-        (_, None) => Box::new(TidListIndex::build(part)?),
-    })
-}
 
 /// Mine all (generalized, when `tax` is given) large itemsets with the
 /// Partition algorithm over `num_partitions` partitions.
 ///
 /// With a multi-threaded [`Parallelism`] policy, phase 1 mines partitions
-/// concurrently (each worker builds and mines its own TID-list indexes)
-/// and the phase-2 verification pass runs on the shared worker-pool
-/// counter. Local results are unioned in partition order and the global
-/// candidate set is sorted before counting, so the result — and every
-/// downstream byte of output — is identical for every policy.
+/// concurrently (each worker builds and mines its own bitmap indexes) and
+/// the phase-2 verification pass runs on the shared worker-pool counter.
+/// Local results are unioned in partition order and the global candidate
+/// set is sorted before counting, so the result — and every downstream
+/// byte of output — is identical for every policy.
 ///
-/// # Panics
-/// Panics when `num_partitions == 0`.
-pub fn partition_mine(
-    db: &TransactionDb,
-    tax: Option<&Taxonomy>,
-    min_support: MinSupport,
-    num_partitions: usize,
-    backend: CountingBackend,
-    parallelism: Parallelism,
-) -> io::Result<LargeItemsets> {
-    partition_mine_ctrl(
-        db,
-        tax,
-        min_support,
-        num_partitions,
-        backend,
-        parallelism,
-        None,
-        &Obs::disabled(),
-    )
-}
-
-/// [`partition_mine`] under an optional cancel token: phase 1 checks
-/// `ctrl` before mining each partition and phase 2 checks it at block
-/// boundaries; a cancelled run returns the token's
+/// Phase 1 checks `ctrl` before mining each partition and phase 2 checks
+/// it at block boundaries; a cancelled run returns the token's
 /// [`io::ErrorKind::Interrupted`] error (see [`negassoc_txdb::ctrl`]).
 /// The phase-2 verification pass reports to `obs` under the
 /// `"partition_verify"` label.
@@ -137,7 +58,7 @@ pub fn partition_mine(
 /// # Panics
 /// Panics when `num_partitions == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn partition_mine_ctrl(
+pub fn partition_mine(
     db: &TransactionDb,
     tax: Option<&Taxonomy>,
     min_support: MinSupport,
@@ -166,10 +87,9 @@ pub fn partition_mine_ctrl(
         if let Some(c) = ctrl {
             c.check()?;
         }
-        let index = build_local_index(&part, tax, backend)?;
         let local_minsup = ((frac * part.len() as f64).ceil() as u64).max(1);
         let mut local: FxHashSet<Itemset> = FxHashSet::default();
-        local_mine(index.as_ref(), local_minsup, ancestors_ref, &mut local);
+        local_mine(&part, tax, local_minsup, ancestors_ref, &mut local)?;
         if let Some(c) = ctrl {
             c.record_progress(part.len() as u64);
         }
@@ -205,7 +125,7 @@ pub fn partition_mine_ctrl(
 /// `source` and `shards` must be views of the same database (normally a
 /// [`negassoc_txdb::shard::ShardedSource`] and its own
 /// [`TransactionSource::as_shards`] handle); each shard plays the role a
-/// horizontal partition plays in [`partition_mine_ctrl`], so the same
+/// horizontal partition plays in [`partition_mine`], so the same
 /// local-fraction correctness argument applies.
 #[allow(clippy::too_many_arguments)]
 pub fn partition_mine_shards<S: TransactionSource + ?Sized>(
@@ -239,14 +159,14 @@ pub fn partition_mine_shards<S: TransactionSource + ?Sized>(
         if db.is_empty() {
             continue;
         }
-        let index = build_local_index(&db, tax, backend)?;
         let local_minsup = ((frac * db.len() as f64).ceil() as u64).max(1);
         local_mine(
-            index.as_ref(),
+            &db,
+            tax,
             local_minsup,
             ancestors.as_ref(),
             &mut global_candidates,
-        );
+        )?;
         if let Some(c) = ctrl {
             c.record_progress(db.len() as u64);
         }
@@ -302,9 +222,9 @@ fn verify_candidates<S: TransactionSource + ?Sized>(
             let needed = items_of_candidates(&candidates);
             let mapper =
                 |items: &[ItemId], out: &mut Vec<ItemId>| extend_filtered(items, anc, &needed, out);
-            count_mixed_parallel_ctrl(source, candidates, backend, &mapper, parallelism, ctrl, obs)?
+            count_mixed_parallel(source, candidates, backend, &mapper, parallelism, ctrl, obs)?
         }
-        None => count_mixed_parallel_ctrl(
+        None => count_mixed_parallel(
             source,
             candidates,
             backend,
@@ -336,14 +256,21 @@ fn verify_candidates<S: TransactionSource + ?Sized>(
     Ok(large)
 }
 
-/// Levelwise local mining against a partition's vertical index (TID-list
-/// or TID-bitmap, per the selected backend).
-fn local_mine(
-    index: &dyn LocalIndex,
+/// Levelwise local mining of one partition or shard: one pass builds its
+/// TID-bitmap index (generalized — category rows filled in once after the
+/// pass — when a taxonomy is given), then every level is counted by
+/// AND + popcount against it.
+fn local_mine<S: TransactionSource>(
+    part: &S,
+    tax: Option<&Taxonomy>,
     local_minsup: u64,
     ancestors: Option<&AncestorTable>,
     out: &mut FxHashSet<Itemset>,
-) {
+) -> io::Result<()> {
+    let index = match tax {
+        Some(t) => TidBitmap::build_generalized(part, t)?,
+        None => TidBitmap::build(part)?,
+    };
     // Local L1.
     let mut large_1: Vec<ItemId> = Vec::new();
     for raw in 0..index.max_item_bound() {
@@ -367,7 +294,7 @@ fn local_mine(
             apriori_gen(&frontier)
         };
         if candidates.is_empty() {
-            return;
+            return Ok(());
         }
         frontier.clear();
         for cand in candidates {
@@ -377,7 +304,7 @@ fn local_mine(
             }
         }
         if frontier.is_empty() {
-            return;
+            return Ok(());
         }
         k += 1;
     }
@@ -410,15 +337,17 @@ mod tests {
     #[test]
     fn flat_matches_apriori_for_any_partition_count() {
         let db = textbook_db();
-        let reference = apriori(&db, MinSupport::Count(2), CountingBackend::HashTree).unwrap();
+        let reference = apriori(&db, MinSupport::Count(2), CountingBackend::SubsetHashMap).unwrap();
         for parts in [1, 2, 3, 4] {
             let got = partition_mine(
                 &db,
                 None,
                 MinSupport::Count(2),
                 parts,
-                CountingBackend::HashTree,
+                CountingBackend::TidBitmap,
                 Parallelism::Threads(parts),
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
             assert_same(&reference, &got);
@@ -432,8 +361,10 @@ mod tests {
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::SubsetHashMap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         for parts in [1, 2, 3] {
@@ -442,8 +373,10 @@ mod tests {
                 Some(&tax),
                 MinSupport::Count(2),
                 parts,
-                CountingBackend::SubsetHashMap,
+                CountingBackend::TidBitmap,
                 Parallelism::Threads(2),
+                None,
+                &Obs::disabled(),
             )
             .unwrap();
             assert_same(&reference, &got);
@@ -458,8 +391,10 @@ mod tests {
             None,
             MinSupport::Fraction(0.1),
             4,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(got.total(), 0);
@@ -468,14 +403,21 @@ mod tests {
     #[test]
     fn fractional_support_thresholds() {
         let db = textbook_db();
-        let reference = apriori(&db, MinSupport::Fraction(0.5), CountingBackend::HashTree).unwrap();
+        let reference = apriori(
+            &db,
+            MinSupport::Fraction(0.5),
+            CountingBackend::SubsetHashMap,
+        )
+        .unwrap();
         let got = partition_mine(
             &db,
             None,
             MinSupport::Fraction(0.5),
             2,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_same(&reference, &got);
@@ -523,14 +465,15 @@ mod tests {
 
         // All shards healthy: identical to apriori over the whole database.
         let whole = concat(&[&a, &b]);
-        let reference = apriori(&whole, MinSupport::Count(2), CountingBackend::HashTree).unwrap();
+        let reference =
+            apriori(&whole, MinSupport::Count(2), CountingBackend::SubsetHashMap).unwrap();
         let shards = FakeShards(vec![Some(clone_db(&a)), Some(clone_db(&b))]);
         let got = partition_mine_shards(
             &whole,
             &shards,
             None,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Threads(2),
             None,
             &Obs::disabled(),
@@ -539,14 +482,14 @@ mod tests {
         assert_same(&reference, &got);
 
         // Shard b quarantined: identical to mining shard a alone.
-        let reference = apriori(&a, MinSupport::Count(1), CountingBackend::HashTree).unwrap();
+        let reference = apriori(&a, MinSupport::Count(1), CountingBackend::SubsetHashMap).unwrap();
         let shards = FakeShards(vec![Some(clone_db(&a)), None]);
         let got = partition_mine_shards(
             &a,
             &shards,
             None,
             MinSupport::Count(1),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
             None,
             &Obs::disabled(),
@@ -562,8 +505,10 @@ mod tests {
             &db,
             &tax,
             MinSupport::Count(2),
-            CountingBackend::HashTree,
+            CountingBackend::SubsetHashMap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         // Split the SA'95 database into three in-memory shards.
@@ -582,7 +527,7 @@ mod tests {
             &shards,
             Some(&tax),
             MinSupport::Count(2),
-            CountingBackend::SubsetHashMap,
+            CountingBackend::TidBitmap,
             Parallelism::Threads(2),
             None,
             &Obs::disabled(),
@@ -600,8 +545,10 @@ mod tests {
             None,
             MinSupport::Count(2),
             0,
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         );
     }
 }

@@ -1,10 +1,10 @@
 //! The bitmap backend's pair-matrix path (DESIGN.md §14) against the
 //! subset-hash-map reference: random taxonomies, databases and pair sets,
-//! through every counting entry point, sequential and threaded.
+//! through the counting entry point, sequential and threaded.
 
-use negassoc_apriori::count::{count_candidates, count_mixed, CountingBackend};
+use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::generalized::{extend_full, prune_ancestor_pairs, AncestorTable};
-use negassoc_apriori::parallel::{count_mixed_parallel_ctrl, Obs, Parallelism};
+use negassoc_apriori::parallel::{count_mixed_parallel, Obs, Parallelism};
 use negassoc_apriori::Itemset;
 use negassoc_taxonomy::{ItemId, Taxonomy, TaxonomyBuilder};
 use negassoc_txdb::obs::{Event, RingBufferSink};
@@ -84,8 +84,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Pair-path counts equal the subset-hash-map reference through
-    /// `count_candidates`, `count_mixed` and `count_mixed_parallel` at
-    /// 1/2/4 threads; the threaded runs report which layout counted.
+    /// `count_mixed_parallel`, inline and at 1/2/4 threads; every run
+    /// reports which layout counted.
     #[test]
     fn pair_path_matches_reference(
         db in arb_db(),
@@ -97,29 +97,36 @@ proptest! {
         let items: Vec<u32> = items.into_iter().collect();
         let candidates = pair_candidates(&items, &anc, &keep);
         prop_assume!(!candidates.is_empty());
-        let mut mapper = |t: &[ItemId], out: &mut Vec<ItemId>| extend_full(t, &anc, out);
+        let mapper = |t: &[ItemId], out: &mut Vec<ItemId>| extend_full(t, &anc, out);
         let reference = sorted(
-            count_candidates(&db, candidates.clone(), CountingBackend::SubsetHashMap, &mut mapper)
-                .unwrap(),
+            count_mixed_parallel(
+                &db,
+                candidates.clone(),
+                CountingBackend::SubsetHashMap,
+                &mapper,
+                Parallelism::Sequential,
+                None,
+                &Obs::disabled(),
+            )
+            .unwrap()
+            .counts,
         );
-        let got = count_candidates(&db, candidates.clone(), CountingBackend::TidBitmap, &mut mapper)
-            .unwrap();
-        prop_assert_eq!(sorted(got), reference.clone());
-        let got = count_mixed(&db, candidates.clone(), CountingBackend::TidBitmap, &mut mapper)
-            .unwrap();
-        prop_assert_eq!(sorted(got), reference.clone());
 
         let want_layout = if dense(&candidates) { "pairs" } else { "bitmap" };
-        let sync_mapper = |t: &[ItemId], out: &mut Vec<ItemId>| extend_full(t, &anc, out);
-        for threads in [1usize, 2, 4] {
+        for parallelism in [
+            Parallelism::Sequential,
+            Parallelism::Threads(1),
+            Parallelism::Threads(2),
+            Parallelism::Threads(4),
+        ] {
             let ring = Arc::new(RingBufferSink::new(1024));
             let obs = Obs::disabled().with_sink(ring.clone());
-            let run = count_mixed_parallel_ctrl(
+            let run = count_mixed_parallel(
                 &db,
                 candidates.clone(),
                 CountingBackend::TidBitmap,
-                &sync_mapper,
-                Parallelism::Threads(threads),
+                &mapper,
+                parallelism,
                 None,
                 &obs,
             )
@@ -128,7 +135,7 @@ proptest! {
             for (got, want) in run.counts.iter().zip(&candidates) {
                 prop_assert_eq!(&got.0, want);
             }
-            prop_assert_eq!(sorted(run.counts), reference.clone(), "{} threads", threads);
+            prop_assert_eq!(sorted(run.counts), reference.clone(), "{:?}", parallelism);
             let layouts: Vec<String> = ring
                 .snapshot()
                 .into_iter()

@@ -1,10 +1,10 @@
 //! Determinism contract of the parallel counting layer: for every thread
-//! count, every backend, and every source — in-memory or streamed through
+//! count, both backends, and every source — in-memory or streamed through
 //! faults and retries — parallel counts are *exactly* the sequential
-//! counts, in the same candidate order.
+//! subset-hash-map counts, in the same candidate order.
 
-use negassoc_apriori::count::{count_mixed, identity_mapper, CountingBackend};
-use negassoc_apriori::parallel::{count_mixed_parallel, identity_sync_mapper, Parallelism};
+use negassoc_apriori::count::CountingBackend;
+use negassoc_apriori::parallel::{count_mixed_parallel, identity_sync_mapper, Obs, Parallelism};
 use negassoc_apriori::{basic::basic, Itemset, MinSupport};
 use negassoc_taxonomy::{ItemId, Taxonomy, TaxonomyBuilder};
 use negassoc_txdb::fault::{FaultPlan, FaultySource, RetryPolicy, RetryingSource};
@@ -37,6 +37,40 @@ fn arb_candidates() -> impl Strategy<Value = Vec<Itemset>> {
     )
 }
 
+/// The reference: the flat subset-hash-map backend counting inline,
+/// the most literal transcription of "count every candidate in every
+/// transaction".
+fn reference<S: negassoc_txdb::TransactionSource + ?Sized>(
+    source: &S,
+    candidates: &[Itemset],
+) -> Vec<(Itemset, u64)> {
+    count(
+        source,
+        candidates,
+        CountingBackend::SubsetHashMap,
+        Parallelism::Sequential,
+    )
+}
+
+fn count<S: negassoc_txdb::TransactionSource + ?Sized>(
+    source: &S,
+    candidates: &[Itemset],
+    backend: CountingBackend,
+    parallelism: Parallelism,
+) -> Vec<(Itemset, u64)> {
+    count_mixed_parallel(
+        source,
+        candidates.to_vec(),
+        backend,
+        &identity_sync_mapper,
+        parallelism,
+        None,
+        &Obs::disabled(),
+    )
+    .unwrap()
+    .counts
+}
+
 fn flat_taxonomy() -> Taxonomy {
     let mut tb = TaxonomyBuilder::new();
     for i in 0..ITEMS {
@@ -46,72 +80,38 @@ fn flat_taxonomy() -> Taxonomy {
 }
 
 proptest! {
-    /// In-memory source: 1/2/4/8 worker threads and all three backends
-    /// reproduce the flat sequential counts in the sequential order. The
-    /// flat subset-hash-map is the reference because it is the most
-    /// literal transcription of "count every candidate in every
-    /// transaction".
+    /// In-memory source: inline and 1/2/4/8 worker threads, on both
+    /// backends, reproduce the flat sequential counts in input order.
     #[test]
     fn every_thread_count_matches_sequential(
         db in arb_db(),
         candidates in arb_candidates(),
     ) {
-        // The sequential entry point emits per-size groups in hash
-        // order; sort both sides to compare the (itemset, count) sets.
-        let mut reference = count_mixed(
-            &db,
-            candidates.clone(),
-            CountingBackend::SubsetHashMap,
-            &mut identity_mapper,
-        )
-        .unwrap();
-        reference.sort();
-        for backend in [
-            CountingBackend::HashTree,
-            CountingBackend::SubsetHashMap,
-            CountingBackend::TidBitmap,
-        ] {
-            let mut sequential =
-                count_mixed(&db, candidates.clone(), backend, &mut identity_mapper).unwrap();
-            sequential.sort();
+        let reference = reference(&db, &candidates);
+        // The entry point guarantees input order.
+        let order: Vec<&Itemset> = reference.iter().map(|(c, _)| c).collect();
+        prop_assert_eq!(order, candidates.iter().collect::<Vec<_>>());
+        for backend in [CountingBackend::SubsetHashMap, CountingBackend::TidBitmap] {
+            let sequential = count(&db, &candidates, backend, Parallelism::Sequential);
             prop_assert_eq!(&sequential, &reference, "sequential {:?}", backend);
             for threads in THREAD_COUNTS {
-                let run = count_mixed_parallel(
-                    &db,
-                    candidates.clone(),
-                    backend,
-                    &identity_sync_mapper,
-                    Parallelism::Threads(threads),
-                )
-                .unwrap();
-                // The parallel entry point guarantees input order.
-                let order: Vec<&Itemset> = run.counts.iter().map(|(c, _)| c).collect();
-                prop_assert_eq!(order, candidates.iter().collect::<Vec<_>>());
-                let mut parallel = run.counts;
-                parallel.sort();
-                prop_assert_eq!(&parallel, &sequential, "{:?} x{}", backend, threads);
+                let parallel = count(&db, &candidates, backend, Parallelism::Threads(threads));
+                prop_assert_eq!(&parallel, &reference, "{:?} x{}", backend, threads);
             }
         }
     }
 
     /// Streamed source healing injected transient faults mid-pass: the
     /// retry layer's exactly-once delivery keeps parallel counts exact at
-    /// every thread count, for every backend.
+    /// every thread count, for both backends.
     #[test]
     fn faulty_retrying_stream_matches_sequential(
         db in arb_db(),
         candidates in arb_candidates(),
         seed in any::<u64>(),
     ) {
-        let mut sequential = count_mixed(
-            &db,
-            candidates.clone(),
-            CountingBackend::SubsetHashMap,
-            &mut identity_mapper,
-        )
-        .unwrap();
-        sequential.sort();
-        for backend in [CountingBackend::HashTree, CountingBackend::TidBitmap] {
+        let reference = reference(&db, &candidates);
+        for backend in [CountingBackend::SubsetHashMap, CountingBackend::TidBitmap] {
             for threads in THREAD_COUNTS {
                 // A fresh faulty stream per run: the pass counter advances
                 // on every attempt, so reuse would shift which pass faults.
@@ -120,17 +120,8 @@ proptest! {
                     FaultPlan::seeded_transient(seed, 2, db.len() as u64, 3),
                 );
                 let healed = RetryingSource::new(faulty, RetryPolicy::new(8, Duration::ZERO));
-                let run = count_mixed_parallel(
-                    &healed,
-                    candidates.clone(),
-                    backend,
-                    &identity_sync_mapper,
-                    Parallelism::Threads(threads),
-                )
-                .unwrap();
-                let mut parallel = run.counts;
-                parallel.sort();
-                prop_assert_eq!(&parallel, &sequential, "{:?} x{}", backend, threads);
+                let parallel = count(&healed, &candidates, backend, Parallelism::Threads(threads));
+                prop_assert_eq!(&parallel, &reference, "{:?} x{}", backend, threads);
             }
         }
     }
@@ -187,27 +178,15 @@ proptest! {
     }
 
     /// The whole miner, not just one pass: Basic over a flat taxonomy is
-    /// identical for every parallelism policy and every backend.
+    /// identical for every parallelism policy and both backends.
     #[test]
     fn miner_output_is_thread_count_invariant(db in arb_db(), minsup in 1u64..5) {
         let tax = flat_taxonomy();
-        let reference = basic(
-            &db,
-            &tax,
-            MinSupport::Count(minsup),
-            CountingBackend::HashTree,
-            Parallelism::Sequential,
-        )
+        let reference = basic(&db, &tax, MinSupport::Count(minsup), CountingBackend::SubsetHashMap, Parallelism::Sequential, None, &Obs::disabled())
         .unwrap();
         for backend in [CountingBackend::SubsetHashMap, CountingBackend::TidBitmap] {
             for threads in THREAD_COUNTS {
-                let parallel = basic(
-                    &db,
-                    &tax,
-                    MinSupport::Count(minsup),
-                    backend,
-                    Parallelism::Threads(threads),
-                )
+                let parallel = basic(&db, &tax, MinSupport::Count(minsup), backend, Parallelism::Threads(threads), None, &Obs::disabled())
                 .unwrap();
                 prop_assert_eq!(parallel.total(), reference.total());
                 for (set, sup) in reference.iter() {

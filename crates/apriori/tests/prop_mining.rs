@@ -1,10 +1,10 @@
 //! Property-based tests for the frequent-itemset mining substrate.
 
-use negassoc_apriori::count::{count_candidates, identity_mapper, CountingBackend};
+use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::est_merge::{est_merge, EstMergeConfig};
-use negassoc_apriori::parallel::Parallelism;
+use negassoc_apriori::parallel::{count_mixed_parallel, identity_sync_mapper, Obs, Parallelism};
 use negassoc_apriori::{apriori::apriori, basic::basic, cumulate::cumulate};
-use negassoc_apriori::{HashTree, Itemset, MinSupport};
+use negassoc_apriori::{Itemset, MinSupport};
 use negassoc_taxonomy::{ItemId, Taxonomy, TaxonomyBuilder};
 use negassoc_txdb::{TransactionDb, TransactionDbBuilder};
 use proptest::prelude::*;
@@ -48,34 +48,6 @@ fn brute_support(db: &TransactionDb, items: &[ItemId]) -> u64 {
 }
 
 proptest! {
-    /// Hash-tree counting equals brute-force subset counting.
-    #[test]
-    fn hash_tree_matches_bruteforce(
-        db in arb_db(),
-        cands in prop::collection::btree_set(
-            prop::collection::btree_set(0..ITEMS, 2..4), 1..25),
-    ) {
-        // Group candidates by size (the tree is per-size).
-        for k in 2..4usize {
-            let sized: Vec<Itemset> = cands
-                .iter()
-                .filter(|c| c.len() == k)
-                .map(|c| Itemset::from_unsorted(c.iter().map(|&i| ItemId(i)).collect()))
-                .collect();
-            if sized.is_empty() {
-                continue;
-            }
-            let mut tree = HashTree::with_params(k, 3, 2);
-            for c in sized.clone() {
-                tree.insert(c);
-            }
-            db.iter().for_each(|t| tree.count_transaction(t.items()));
-            for (cand, count) in tree.counts() {
-                prop_assert_eq!(count, brute_support(&db, cand.items()), "{:?}", cand);
-            }
-        }
-    }
-
     /// Counting backends agree with brute force on uniform-size candidates.
     #[test]
     fn backends_match_bruteforce(
@@ -89,26 +61,27 @@ proptest! {
             .map(|c| Itemset::from_unsorted(c.iter().map(|&i| ItemId(i)).collect()))
             .collect();
         prop_assume!(!sized.is_empty());
-        for backend in [CountingBackend::HashTree, CountingBackend::SubsetHashMap] {
-            let counted =
-                count_candidates(&db, sized.clone(), backend, &mut identity_mapper).unwrap();
-            for (cand, count) in counted {
+        for backend in [CountingBackend::SubsetHashMap, CountingBackend::TidBitmap] {
+            let counted = count_mixed_parallel(
+                &db,
+                sized.clone(),
+                backend,
+                &identity_sync_mapper,
+                Parallelism::Sequential,
+                None,
+                &Obs::disabled(),
+            )
+            .unwrap();
+            for (cand, count) in counted.counts {
                 prop_assert_eq!(count, brute_support(&db, cand.items()));
             }
         }
     }
 
-    /// Apriori output is downward closed and supports are exact; AprioriTid
-    /// computes the identical result in one database pass.
+    /// Apriori output is downward closed and supports are exact.
     #[test]
     fn apriori_downward_closure_and_exact_supports(db in arb_db(), minsup in 1u64..6) {
-        let large = apriori(&db, MinSupport::Count(minsup), CountingBackend::HashTree).unwrap();
-        let tid = negassoc_apriori::apriori_tid::apriori_tid(&db, MinSupport::Count(minsup))
-            .unwrap();
-        prop_assert_eq!(tid.total(), large.total());
-        for (set, sup) in large.iter() {
-            prop_assert_eq!(tid.support_of_set(set), Some(sup));
-        }
+        let large = apriori(&db, MinSupport::Count(minsup), CountingBackend::TidBitmap).unwrap();
         for (set, sup) in large.iter() {
             prop_assert_eq!(sup, brute_support(&db, set.items()));
             prop_assert!(sup >= large.min_support_count());
@@ -140,39 +113,13 @@ proptest! {
         seed in any::<u64>(),
         parts in 1usize..5,
     ) {
-        let a = basic(
-            &db,
-            &tax,
-            MinSupport::Count(minsup),
-            CountingBackend::HashTree,
-            Parallelism::Sequential,
-        )
+        let a = basic(&db, &tax, MinSupport::Count(minsup), CountingBackend::SubsetHashMap, Parallelism::Sequential, None, &Obs::disabled())
         .unwrap();
-        let b = cumulate(
-            &db,
-            &tax,
-            MinSupport::Count(minsup),
-            CountingBackend::SubsetHashMap,
-            Parallelism::Threads(2),
-        )
+        let b = cumulate(&db, &tax, MinSupport::Count(minsup), CountingBackend::TidBitmap, Parallelism::Threads(2), None, &Obs::disabled())
         .unwrap();
-        let (c, _) = est_merge(
-            &db,
-            &tax,
-            MinSupport::Count(minsup),
-            CountingBackend::HashTree,
-            EstMergeConfig { sample_fraction: 0.5, safety_factor: 0.9, seed },
-            Parallelism::Threads(3),
-        )
+        let (c, _) = est_merge(&db, &tax, MinSupport::Count(minsup), CountingBackend::TidBitmap, EstMergeConfig { sample_fraction: 0.5, safety_factor: 0.9, seed }, Parallelism::Threads(3), None, &Obs::disabled())
         .unwrap();
-        let d = negassoc_apriori::partition_mine::partition_mine(
-            &db,
-            Some(&tax),
-            MinSupport::Count(minsup),
-            parts,
-            CountingBackend::HashTree,
-            Parallelism::Auto,
-        )
+        let d = negassoc_apriori::partition_mine::partition_mine(&db, Some(&tax), MinSupport::Count(minsup), parts, CountingBackend::SubsetHashMap, Parallelism::Auto, None, &Obs::disabled())
         .unwrap();
         prop_assert_eq!(a.total(), b.total());
         prop_assert_eq!(a.total(), c.total());
@@ -196,38 +143,37 @@ proptest! {
             .iter()
             .map(|c| Itemset::from_unsorted(c.iter().map(|&i| ItemId(i)).collect()))
             .collect();
-        let mut sequential = negassoc_apriori::count::count_mixed(
+        let sequential = count_mixed_parallel(
             &db,
             candidates.clone(),
-            CountingBackend::HashTree,
-            &mut identity_mapper,
+            CountingBackend::SubsetHashMap,
+            &identity_sync_mapper,
+            Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
-        .unwrap();
-        sequential.sort();
-        let run = negassoc_apriori::parallel::count_mixed_parallel(
-            &db,
-            candidates,
-            CountingBackend::HashTree,
-            &negassoc_apriori::parallel::identity_sync_mapper,
-            negassoc_apriori::parallel::Parallelism::Threads(threads),
-        )
-        .unwrap();
-        let mut parallel = run.counts;
-        parallel.sort();
-        prop_assert_eq!(sequential, parallel);
+        .unwrap()
+        .counts;
+        for backend in [CountingBackend::SubsetHashMap, CountingBackend::TidBitmap] {
+            let run = count_mixed_parallel(
+                &db,
+                candidates.clone(),
+                backend,
+                &identity_sync_mapper,
+                Parallelism::Threads(threads),
+                None,
+                &Obs::disabled(),
+            )
+            .unwrap();
+            prop_assert_eq!(&sequential, &run.counts, "{:?}", backend);
+        }
     }
 
     /// Generalized supports are exact: category support counts transactions
     /// containing any descendant.
     #[test]
     fn generalized_supports_are_exact(db in arb_db(), tax in arb_taxonomy()) {
-        let large = cumulate(
-            &db,
-            &tax,
-            MinSupport::Count(2),
-            CountingBackend::HashTree,
-            Parallelism::Sequential,
-        )
+        let large = cumulate(&db, &tax, MinSupport::Count(2), CountingBackend::TidBitmap, Parallelism::Sequential, None, &Obs::disabled())
         .unwrap();
         for (set, sup) in large.iter() {
             // Brute force: a transaction supports `set` when, for every

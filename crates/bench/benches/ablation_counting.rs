@@ -1,27 +1,29 @@
-//! Ablation: support-counting backends (DESIGN.md §6). Hash tree vs
-//! per-candidate hash map on a positive mining run, and vertical TID-list
-//! counting of a fixed candidate set.
+//! Ablation: support-counting backends (DESIGN.md §6, §14). Vertical TID
+//! bitmaps vs the per-candidate hash map on a positive mining run, and
+//! both backends counting a fixed mixed-size candidate set on 1/2/4
+//! worker threads.
 
 #![allow(missing_docs)] // criterion_group! expands to an undocumented pub fn
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use negassoc_apriori::count::{count_with_tidlists, CountingBackend};
+use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::cumulate::cumulate;
-use negassoc_apriori::parallel::Parallelism;
+use negassoc_apriori::parallel::{count_mixed_parallel, identity_sync_mapper, Obs, Parallelism};
 use negassoc_apriori::{Itemset, MinSupport};
 use negassoc_bench::short_dataset;
-use negassoc_txdb::vertical::TidListIndex;
 use std::hint::black_box;
+
+const BACKENDS: [(&str, CountingBackend); 2] = [
+    ("bitmap", CountingBackend::TidBitmap),
+    ("subset_hashmap", CountingBackend::SubsetHashMap),
+];
 
 fn bench(c: &mut Criterion) {
     let ds = short_dataset(Some(2_000));
     let mut group = c.benchmark_group("ablation_counting");
     group.sample_size(10);
 
-    for (name, backend) in [
-        ("hash_tree", CountingBackend::HashTree),
-        ("subset_hashmap", CountingBackend::SubsetHashMap),
-    ] {
+    for (name, backend) in BACKENDS {
         group.bench_with_input(
             BenchmarkId::new("cumulate", name),
             &backend,
@@ -33,6 +35,8 @@ fn bench(c: &mut Criterion) {
                         MinSupport::Fraction(0.02),
                         backend,
                         Parallelism::Sequential,
+                        None,
+                        &Obs::disabled(),
                     )
                     .unwrap();
                     black_box(large.total())
@@ -41,46 +45,42 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Vertical counting: index once per iteration (that's its cost model —
-    // one pass to build, then free counting).
+    // One pass over a fixed candidate set of every size (identity mapper:
+    // flat candidate counting; taxonomy extension per thread is exercised
+    // by the positive-miner variants above).
     let large = cumulate(
         &ds.db,
         &ds.taxonomy,
         MinSupport::Fraction(0.02),
-        CountingBackend::HashTree,
+        CountingBackend::TidBitmap,
         Parallelism::Sequential,
+        None,
+        &Obs::disabled(),
     )
     .unwrap();
     let candidates: Vec<Itemset> = large.iter().map(|(s, _)| s.clone()).collect();
-    group.bench_function("vertical_tidlists", |b| {
-        b.iter(|| {
-            let idx = TidListIndex::build_generalized(&ds.db, &ds.taxonomy).unwrap();
-            let counted = count_with_tidlists(&idx, candidates.clone());
-            black_box(counted.len())
-        })
-    });
-
-    // Multi-threaded counting (identity mapper: flat candidate counting;
-    // taxonomy extension per thread is exercised by the positive-miner
-    // variants above).
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel_hash_tree", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let run = negassoc_apriori::parallel::count_mixed_parallel(
-                        &ds.db,
-                        candidates.clone(),
-                        CountingBackend::HashTree,
-                        &negassoc_apriori::parallel::identity_sync_mapper,
-                        Parallelism::Threads(threads),
-                    )
-                    .unwrap();
-                    black_box(run.counts.len())
-                })
-            },
-        );
+    for (name, backend) in BACKENDS {
+        for threads in [1usize, 2, 4] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("parallel_{name}"), threads),
+                &threads,
+                |b, &threads| {
+                    b.iter(|| {
+                        let run = count_mixed_parallel(
+                            &ds.db,
+                            candidates.clone(),
+                            backend,
+                            &identity_sync_mapper,
+                            Parallelism::Threads(threads),
+                            None,
+                            &Obs::disabled(),
+                        )
+                        .unwrap();
+                        black_box(run.counts.len())
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::est_merge::{est_merge, EstMergeConfig};
-use negassoc_apriori::parallel::Parallelism;
+use negassoc_apriori::parallel::{Obs, Parallelism};
 use negassoc_apriori::{basic::basic, cumulate::cumulate, MinSupport};
 use negassoc_bench::{short_dataset, tall_dataset};
 use std::hint::black_box;
@@ -24,8 +24,10 @@ fn bench(c: &mut Criterion) {
                         &ds.db,
                         &ds.taxonomy,
                         MinSupport::Fraction(0.02),
-                        CountingBackend::HashTree,
+                        CountingBackend::TidBitmap,
                         Parallelism::Sequential,
+                        None,
+                        &Obs::disabled(),
                     )
                     .unwrap()
                     .total(),
@@ -39,8 +41,10 @@ fn bench(c: &mut Criterion) {
                         &ds.db,
                         &ds.taxonomy,
                         MinSupport::Fraction(0.02),
-                        CountingBackend::HashTree,
+                        CountingBackend::TidBitmap,
                         Parallelism::Sequential,
+                        None,
+                        &Obs::disabled(),
                     )
                     .unwrap()
                     .total(),
@@ -53,9 +57,11 @@ fn bench(c: &mut Criterion) {
                     &ds.db,
                     &ds.taxonomy,
                     MinSupport::Fraction(0.02),
-                    CountingBackend::HashTree,
+                    CountingBackend::TidBitmap,
                     EstMergeConfig::default(),
                     Parallelism::Sequential,
+                    None,
+                    &Obs::disabled(),
                 )
                 .unwrap();
                 black_box(large.total())
@@ -69,8 +75,10 @@ fn bench(c: &mut Criterion) {
                         Some(&ds.taxonomy),
                         MinSupport::Fraction(0.02),
                         4,
-                        CountingBackend::HashTree,
+                        CountingBackend::TidBitmap,
                         Parallelism::Sequential,
+                        None,
+                        &Obs::disabled(),
                     )
                     .unwrap()
                     .total(),

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use negassoc::candidates::{CandidateGenerator, CandidateSet};
 use negassoc_apriori::count::CountingBackend;
-use negassoc_apriori::parallel::Parallelism;
+use negassoc_apriori::parallel::{Obs, Parallelism};
 use negassoc_apriori::MinSupport;
 use negassoc_bench::{short_dataset, tall_dataset, PAPER_MIN_RI};
 use std::hint::black_box;
@@ -23,8 +23,10 @@ fn bench(c: &mut Criterion) {
             &ds.db,
             &ds.taxonomy,
             MinSupport::Fraction(0.03),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .unwrap();
         group.bench_with_input(

@@ -340,8 +340,8 @@ fn fig7(scale: Option<usize>, support_pct: f64) {
     println!("  (paper: normalized candidates grow with size; fanout 9 > fanout 3)");
 }
 
-/// The counting-backend benchmark: run the same mining job under every
-/// backend (flat subset-hash-map, hash tree, TID bitmap) at 1/2/4 worker
+/// The counting-backend benchmark: run the same mining job under both
+/// backends (flat subset-hash-map, TID bitmap) at 1/2/4 worker
 /// threads, print the per-pass tables, and write the machine-readable
 /// result to `BENCH_counting.json`. Alongside the primary `--scale`, a
 /// 100,000-transaction scale always runs (at 1/4 threads to keep the
@@ -358,7 +358,7 @@ fn counting(scale: Option<usize>) -> std::io::Result<()> {
         available_parallelism: negassoc_apriori::parallel::Parallelism::Auto.resolve(),
         scales,
     };
-    println!("== counting backends: flat vs hash tree vs TID bitmap ==");
+    println!("== counting backends: flat vs TID bitmap ==");
     println!("available parallelism {}", bench.available_parallelism);
     for scale in &bench.scales {
         println!("-- {} transactions --", scale.transactions);
@@ -413,13 +413,19 @@ fn counting(scale: Option<usize>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Repetitions per variant of the `ctrl` and `obs` overhead benchmarks.
+/// One default (bitmap) mining run at 4,000 transactions takes ~0.08 s,
+/// so 41 repetitions keep each side of the comparison at ≥ 3 s of work —
+/// enough for the median to hold still well inside the 2% bars.
+const OVERHEAD_REPETITIONS: usize = 41;
+
 /// The control-plane overhead benchmark: the same mining job with no
 /// cancel token vs under a fully armed `RunControl`, written to
 /// `BENCH_ctrl.json`. The run control plane's acceptance bar is < 2%
 /// median overhead.
 fn ctrl(scale: Option<usize>) -> std::io::Result<()> {
     let transactions = scale.unwrap_or(4_000);
-    let bench = ctrl_bench(transactions, 5);
+    let bench = ctrl_bench(transactions, OVERHEAD_REPETITIONS);
     println!("== run control plane: token-check overhead ==");
     println!(
         "{} transactions, {} repetitions per variant",
@@ -442,7 +448,7 @@ fn ctrl(scale: Option<usize>) -> std::io::Result<()> {
 /// overhead (DESIGN.md §11).
 fn obs(scale: Option<usize>) -> std::io::Result<()> {
     let transactions = scale.unwrap_or(4_000);
-    let bench = obs_bench(transactions, 5);
+    let bench = obs_bench(transactions, OVERHEAD_REPETITIONS);
     println!("== observability layer: no-op-sink emission overhead ==");
     println!(
         "{} transactions, {} repetitions per variant",

@@ -206,8 +206,10 @@ pub fn fig7_series(ds: &Dataset, min_support_pct: f64) -> Fig7Series {
         &ds.db,
         &ds.taxonomy,
         MinSupport::Fraction(min_support_pct / 100.0),
-        CountingBackend::HashTree,
+        CountingBackend::default(),
         Parallelism::Sequential,
+        None,
+        &Obs::disabled(),
     )
     .expect("positive mining");
     let generator = CandidateGenerator::new(&ds.taxonomy, &large, PAPER_MIN_RI);
@@ -239,8 +241,10 @@ pub fn itemset_counts(short: &Dataset, tall: &Dataset, min_support_pct: f64) -> 
             &ds.db,
             &ds.taxonomy,
             MinSupport::Fraction(min_support_pct / 100.0),
-            CountingBackend::HashTree,
+            CountingBackend::default(),
             Parallelism::Sequential,
+            None,
+            &Obs::disabled(),
         )
         .expect("positive mining")
         .total()
@@ -307,10 +311,9 @@ fn samples_from_events(events: &[Event], which: &str) -> Vec<f64> {
 }
 
 /// The counting backends the benchmark compares, with their CLI names
-/// (`--backend flat|hashtree|bitmap`).
+/// (`--backend flat|bitmap`).
 pub const BENCH_BACKENDS: &[(&str, CountingBackend)] = &[
     ("flat", CountingBackend::SubsetHashMap),
-    ("hashtree", CountingBackend::HashTree),
     ("bitmap", CountingBackend::TidBitmap),
 ];
 
@@ -318,7 +321,7 @@ pub const BENCH_BACKENDS: &[(&str, CountingBackend)] = &[
 /// reporting every counting pass's wall time.
 #[derive(Clone, Debug)]
 pub struct BackendRun {
-    /// CLI name of the counting backend (`flat`, `hashtree`, `bitmap`).
+    /// CLI name of the counting backend (`flat`, `bitmap`).
     pub backend: &'static str,
     /// Worker threads (1 = sequential).
     pub threads: usize,

@@ -5,6 +5,7 @@ use crate::commands::{itemset_names, parse_backend, parse_parallelism};
 use crate::exit::CliError;
 use crate::io::{load_db_opts, load_taxonomy};
 use crate::opts::Opts;
+use negassoc_apriori::parallel::Obs;
 use negassoc_apriori::rules::generate_rules;
 use negassoc_apriori::MinSupport;
 
@@ -25,6 +26,8 @@ const KNOWN: &[&str] = &[
 
 pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
     let opts = Opts::parse(args, KNOWN)?;
+    let parallelism = parse_parallelism(&opts).map_err(CliError::Usage)?;
+    let backend = parse_backend(&opts).map_err(CliError::Usage)?;
     let db = load_db_opts(opts.require("data")?, opts.flag("salvage"))?;
     let tax = load_taxonomy(opts.require("taxonomy")?)?;
     let min_support: f64 = opts.parse_or("min-support", 0.01)?;
@@ -32,14 +35,19 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
     let top: usize = opts.parse_or("top", 20)?;
 
     let min_support = MinSupport::Fraction(min_support);
-    let parallelism = parse_parallelism(&opts).map_err(CliError::Usage)?;
-    let backend = parse_backend(&opts).map_err(CliError::Usage)?;
+    let obs = Obs::disabled();
     let large = match opts.get("algorithm") {
-        None | Some("cumulate") => {
-            negassoc_apriori::cumulate::cumulate(&db, &tax, min_support, backend, parallelism)
-        }
+        None | Some("cumulate") => negassoc_apriori::cumulate::cumulate(
+            &db,
+            &tax,
+            min_support,
+            backend,
+            parallelism,
+            None,
+            &obs,
+        ),
         Some("basic") => {
-            negassoc_apriori::basic::basic(&db, &tax, min_support, backend, parallelism)
+            negassoc_apriori::basic::basic(&db, &tax, min_support, backend, parallelism, None, &obs)
         }
         Some("estmerge") => negassoc_apriori::est_merge::est_merge(
             &db,
@@ -48,6 +56,8 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
             backend,
             Default::default(),
             parallelism,
+            None,
+            &obs,
         )
         .map(|(large, _)| large),
         Some("partition") => {
@@ -59,6 +69,8 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
                 parts,
                 backend,
                 parallelism,
+                None,
+                &obs,
             )
         }
         Some(other) => {

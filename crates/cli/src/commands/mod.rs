@@ -48,16 +48,20 @@ pub(crate) fn parse_parallelism(opts: &Opts) -> Result<Parallelism, String> {
     }
 }
 
-/// Resolve `--backend flat|hashtree|bitmap` into a [`CountingBackend`].
-/// Absent means the hash-tree default; every backend produces the same
-/// counts, only wall time and memory differ.
+/// Resolve `--backend bitmap|flat` into a [`CountingBackend`]. Absent
+/// means the bitmap default; both backends produce the same counts, only
+/// wall time and memory differ.
 pub(crate) fn parse_backend(opts: &Opts) -> Result<CountingBackend, String> {
     match opts.get("backend") {
-        None | Some("hashtree") => Ok(CountingBackend::HashTree),
+        None | Some("bitmap") => Ok(CountingBackend::TidBitmap),
         Some("flat") => Ok(CountingBackend::SubsetHashMap),
-        Some("bitmap") => Ok(CountingBackend::TidBitmap),
+        Some("hashtree") => Err(
+            "--backend hashtree was removed: the hash tree was the slowest \
+             backend on every measured input; use `bitmap` (the default) or `flat`"
+                .to_string(),
+        ),
         Some(v) => Err(format!(
-            "invalid --backend {v:?} (expected `flat`, `hashtree`, or `bitmap`)"
+            "invalid --backend {v:?} (expected `bitmap` or `flat`)"
         )),
     }
 }

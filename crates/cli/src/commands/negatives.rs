@@ -121,6 +121,8 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
     };
     let deadline = parse_seconds(&opts, "deadline")?;
     let stall_timeout = parse_seconds(&opts, "stall-timeout")?;
+    let parallelism = parse_parallelism(&opts).map_err(CliError::Usage)?;
+    let backend = parse_backend(&opts).map_err(CliError::Usage)?;
 
     // The observer: a JSON-lines trace file (--trace), a metrics registry
     // (--metrics), and an in-memory event ring that lets --pass-stats
@@ -187,8 +189,8 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
         max_candidates_per_pass,
         memory_budget,
         compress_taxonomy: !opts.flag("no-compress"),
-        parallelism: parse_parallelism(&opts).map_err(CliError::Usage)?,
-        backend: parse_backend(&opts).map_err(CliError::Usage)?,
+        parallelism,
+        backend,
         ..MinerConfig::default()
     };
     let miner = NegativeMiner::new(config);

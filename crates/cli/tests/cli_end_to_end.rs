@@ -227,6 +227,28 @@ fn helpful_errors() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--deadline"));
 
+    // The removed hash-tree backend is a usage error that names the
+    // remaining choices, raised before any file is opened.
+    for cmd in ["negatives", "mine"] {
+        let out = negrules()
+            .args([
+                cmd,
+                "--data",
+                "x",
+                "--taxonomy",
+                "y",
+                "--backend",
+                "hashtree",
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("hashtree was removed"), "{cmd}: {stderr}");
+        assert!(stderr.contains("`bitmap` (the default)"), "{cmd}: {stderr}");
+        assert!(stderr.contains("`flat`"), "{cmd}: {stderr}");
+    }
+
     // Help works.
     let out = negrules().arg("help").output().unwrap();
     assert!(out.status.success());

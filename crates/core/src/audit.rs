@@ -8,10 +8,10 @@
 //! * the actual support, antecedent/consequent largeness, and rule
 //!   interest of every emitted negative rule.
 //!
-//! The re-count is **independent of the mining machinery**: no hash trees,
+//! The re-count is **independent of the mining machinery**: no bitmaps,
 //! no `AncestorTable`, no candidate pruning — just a per-transaction walk
 //! up the taxonomy and a set-containment check. An agreement between the
-//! two paths therefore certifies the optimized counting stack (hash-tree /
+//! two paths therefore certifies the optimized counting stack (bitmap /
 //! subset-map backends, chunked §2.5 passes, taxonomy compression) against
 //! the paper's definitions. Any discrepancy is reported as
 //! [`NegAssocError::Audit`] with the first offending itemset pinned.

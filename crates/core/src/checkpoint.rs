@@ -299,7 +299,7 @@ impl CheckpointManager {
 /// [`MinerConfig::parallelism`] and [`MinerConfig::backend`] are
 /// deliberately *not* hashed: worker counts and counting strategy change
 /// wall time, never counts, so a checkpoint written by a sequential
-/// hash-tree run must resume under `--threads N --backend bitmap` (and
+/// flat-backend run must resume under `--threads N --backend bitmap` (and
 /// vice versa).
 fn fingerprint(config: &MinerConfig, tax: &Taxonomy, num_transactions: Option<u64>) -> u64 {
     let mut buf = Vec::new();
@@ -545,11 +545,7 @@ mod tests {
         let t = tax();
         let base = MinerConfig::default();
         let fp = fingerprint(&base, &t, Some(100));
-        for backend in [
-            CountingBackend::HashTree,
-            CountingBackend::SubsetHashMap,
-            CountingBackend::TidBitmap,
-        ] {
+        for backend in [CountingBackend::SubsetHashMap, CountingBackend::TidBitmap] {
             let cfg = MinerConfig { backend, ..base };
             assert_eq!(fingerprint(&cfg, &t, Some(100)), fp, "{backend:?}");
         }

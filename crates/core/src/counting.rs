@@ -7,9 +7,7 @@ use crate::error::Error;
 use crate::expected::is_negative;
 use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::generalized::{extend_filtered, items_of_candidates, AncestorTable};
-use negassoc_apriori::parallel::{
-    count_mixed_parallel_ctrl, CancelToken, Obs, Parallelism, PassStats,
-};
+use negassoc_apriori::parallel::{count_mixed_parallel, CancelToken, Obs, Parallelism, PassStats};
 use negassoc_apriori::Itemset;
 use negassoc_taxonomy::fxhash::FxHashMap;
 use negassoc_taxonomy::ItemId;
@@ -97,7 +95,7 @@ pub(crate) fn confirm_negatives<S: TransactionSource + ?Sized>(
 
 /// Count one chunk; returns `(transactions scanned, threads used)`.
 #[allow(clippy::too_many_arguments)]
-// negassoc-lint: allow(L010) -- the scan polls inside count_mixed_parallel_ctrl; the local loops are in-memory candidate bookkeeping before and after it
+// negassoc-lint: allow(L010) -- the scan polls inside count_mixed_parallel; the local loops are in-memory candidate bookkeeping before and after it
 fn count_chunk<S: TransactionSource + ?Sized>(
     source: &S,
     ancestors: &AncestorTable,
@@ -121,7 +119,7 @@ fn count_chunk<S: TransactionSource + ?Sized>(
     let needed = items_of_candidates(&itemsets);
     let mapper =
         |items: &[ItemId], out: &mut Vec<ItemId>| extend_filtered(items, ancestors, &needed, out);
-    let run = count_mixed_parallel_ctrl(source, itemsets, backend, &mapper, parallelism, ctrl, obs)
+    let run = count_mixed_parallel(source, itemsets, backend, &mapper, parallelism, ctrl, obs)
         .map_err(Error::Io)?;
     for (set, actual) in run.counts {
         // Every counted set was registered above; a miss means the counting
@@ -200,7 +198,7 @@ mod tests {
             &pc,
             &ancestors,
             candidates.clone(),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             None,
             5,
             0.5,
@@ -258,7 +256,7 @@ mod tests {
             &pc,
             &ancestors,
             Vec::new(),
-            CountingBackend::HashTree,
+            CountingBackend::TidBitmap,
             None,
             1,
             0.5,

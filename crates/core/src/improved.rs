@@ -19,13 +19,13 @@ use crate::counting::confirm_negatives;
 use crate::error::Error;
 use crate::naive::{renumber, DriverOutcome};
 use crate::substitutes::SubstituteKnowledge;
-use negassoc_apriori::est_merge::est_merge_with_ctrl;
+use negassoc_apriori::est_merge::est_merge;
 use negassoc_apriori::generalized::AncestorTable;
 use negassoc_apriori::levelwise::{
     CandidateBudgetExceeded, GenLevelMiner, GenStrategy, MinerState,
 };
 use negassoc_apriori::parallel::{CancelToken, Obs, PassStats};
-use negassoc_apriori::partition_mine::{partition_mine_ctrl, partition_mine_shards};
+use negassoc_apriori::partition_mine::{partition_mine, partition_mine_shards};
 use negassoc_apriori::{Itemset, LargeItemsets};
 use negassoc_taxonomy::fxhash::FxHashSet;
 use negassoc_taxonomy::{FilteredTaxonomy, ItemId, Taxonomy};
@@ -34,7 +34,8 @@ use std::io;
 use std::time::Instant;
 
 /// Rough memory estimate per live candidate (boxed itemset + support-table
-/// and hash-tree share) used to turn a byte budget into a candidate cap.
+/// and counting-structure share) used to turn a byte budget into a
+/// candidate cap.
 /// Deliberately conservative — the guard exists to avoid OOM aborts, not
 /// to meter allocations exactly.
 const EST_BYTES_PER_CANDIDATE: usize = 160;
@@ -239,7 +240,7 @@ fn positive_or_degraded<S: TransactionSource + ?Sized>(
     let budget = config.memory_budget.unwrap_or(usize::MAX).max(1);
     let est_db_bytes = (db.avg_len() * db.len() as f64 * 16.0) as usize;
     let parts = (est_db_bytes / budget + 2).clamp(2, 64);
-    let large = partition_mine_ctrl(
+    let large = partition_mine(
         db,
         Some(tax),
         config.min_support,
@@ -326,7 +327,7 @@ fn mine_positive<S: TransactionSource + ?Sized>(
 ) -> Result<(LargeItemsets, u64, u64, Vec<PassStats>), Error> {
     match positive_strategy(config) {
         Some(strategy) => {
-            let mut miner = GenLevelMiner::new_observed(
+            let mut miner = GenLevelMiner::new(
                 source,
                 tax,
                 config.min_support,
@@ -334,7 +335,7 @@ fn mine_positive<S: TransactionSource + ?Sized>(
                 config.backend,
                 config.parallelism,
                 ctrl,
-                obs.clone(),
+                obs,
             )?
             .with_candidate_cap(budget_candidate_cap(config));
             let mut passes = 1u64;
@@ -356,7 +357,7 @@ fn mine_positive<S: TransactionSource + ?Sized>(
                     "positive_strategy returned None for a level-wise algorithm".into(),
                 ));
             };
-            let (large, stats) = est_merge_with_ctrl(
+            let (large, stats) = est_merge(
                 source,
                 tax,
                 config.min_support,
@@ -398,9 +399,9 @@ fn resume_positive<S: TransactionSource + ?Sized>(
         config.backend,
         config.parallelism,
         saved.state,
+        ctrl,
+        obs,
     )
-    .with_ctrl(ctrl)
-    .with_obs(obs.clone())
     .with_candidate_cap(budget_candidate_cap(config));
     let mut passes = saved.passes;
     let mut levels = saved.levels;

@@ -65,7 +65,7 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
         }
     };
     let positive_start = Instant::now();
-    let mut miner = GenLevelMiner::new_observed(
+    let mut miner = GenLevelMiner::new(
         source,
         tax,
         config.min_support,
@@ -73,7 +73,7 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
         config.backend,
         config.parallelism,
         ctrl,
-        obs.clone(),
+        obs,
     )?;
     let mut positive_time = positive_start.elapsed();
     let mut pass_stats: Vec<PassStats> = miner.take_pass_stats();

@@ -4,7 +4,7 @@
 //!
 //! This is the strongest end-to-end check in the suite: the audit
 //! re-derives every reported support with machinery (a naive parent-walk
-//! scan) that shares nothing with the hash-tree counting stack, so a pass
+//! scan) that shares nothing with the counting backends, so a pass
 //! certifies the whole pipeline against the paper's definitions.
 
 #![cfg(feature = "audit")]

@@ -25,7 +25,7 @@
 //! forbids bare `std::thread::spawn` everywhere; scoped workers confine
 //! every thread's lifetime to the pass that spawned it).
 //!
-//! A pass can be cancelled cooperatively: [`parallel_pass_ctrl`] takes an
+//! A pass can be cancelled cooperatively: [`parallel_pass`] takes an
 //! optional [`CancelToken`] that the producer checks between blocks and
 //! workers check between pops (the pop switches from a blocking `recv()`
 //! to a short `recv_timeout`, so a cancelled pool wakes and drains within
@@ -85,8 +85,7 @@ impl Parallelism {
 /// Flat storage (one item array plus offsets) mirrors
 /// [`crate::TransactionDb`]; `start` records the run's position in the
 /// stream so consumers that care about absolute transaction positions
-/// (e.g. parallel TID-list construction) can reconstruct them as
-/// `start + index_in_block`.
+/// can reconstruct them as `start + index_in_block`.
 #[derive(Clone, Debug, Default)]
 pub struct TransactionBlock {
     start: u64,
@@ -212,48 +211,6 @@ where
     })
 }
 
-/// One database pass, fanned out over `threads` scoped workers.
-///
-/// The calling thread is the producer: it runs `source.pass` once, slices
-/// the stream into blocks of `block_size` transactions and feeds them to a
-/// bounded channel. Each worker builds its private state with
-/// `make_worker`, folds blocks into it with `process`, and reduces it to a
-/// result with `finish`. Returns the per-worker results **in spawn order**
-/// plus the number of transactions scanned.
-///
-/// With `threads <= 1` no thread, channel or lock is involved: the same
-/// `make_worker`/`process`/`finish` cycle runs inline on the caller, so
-/// sequential and parallel executions share one code path and one answer.
-///
-/// A worker panic is re-raised on the caller; an `Err` from the source's
-/// pass is returned after the workers have drained and exited.
-pub fn parallel_pass<S, W, R, FNew, FProc, FFin>(
-    source: &S,
-    threads: usize,
-    block_size: usize,
-    make_worker: FNew,
-    process: FProc,
-    finish: FFin,
-) -> io::Result<(Vec<R>, u64)>
-where
-    S: TransactionSource + ?Sized,
-    R: Send,
-    FNew: Fn() -> W + Sync,
-    FProc: Fn(&mut W, &TransactionBlock) + Sync,
-    FFin: Fn(W) -> R + Sync,
-{
-    parallel_pass_ctrl(
-        source,
-        threads,
-        block_size,
-        None,
-        &Obs::disabled(),
-        make_worker,
-        process,
-        finish,
-    )
-}
-
 /// The per-worker metric ids a pass registers up front (cold path), so
 /// the hot path is a plain shard increment.
 #[derive(Clone, Copy)]
@@ -286,15 +243,29 @@ fn send_or_note_gone(
     *receivers_gone = tx.send(block).is_err();
 }
 
-/// [`parallel_pass`] with cooperative cancellation.
+/// One database pass, fanned out over `threads` scoped workers.
 ///
-/// When `ctrl` is `Some`, the token is consulted at block granularity on
-/// every thread involved: the producer stops slicing the stream, workers
-/// stop popping (their blocking `recv()` becomes a [`CTRL_POLL`]
-/// `recv_timeout`, so even an idle worker wakes promptly), and the pass
-/// returns the token's cancellation error. Counting progress is reported
-/// back through [`CancelToken::record_progress`] — one unit per
-/// transaction — which is what the stall watchdog listens to.
+/// The calling thread is the producer: it runs `source.pass` once, slices
+/// the stream into blocks of `block_size` transactions and feeds them to a
+/// bounded channel. Each worker builds its private state with
+/// `make_worker`, folds blocks into it with `process`, and reduces it to a
+/// result with `finish`. Returns the per-worker results **in spawn order**
+/// plus the number of transactions scanned.
+///
+/// With `threads <= 1` no thread, channel or lock is involved: the same
+/// `make_worker`/`process`/`finish` cycle runs inline on the caller, so
+/// sequential and parallel executions share one code path and one answer.
+///
+/// A worker panic is re-raised on the caller; an `Err` from the source's
+/// pass is returned after the workers have drained and exited.
+///
+/// Cancellation: when `ctrl` is `Some`, the token is consulted at block
+/// granularity on every thread involved: the producer stops slicing the
+/// stream, workers stop popping (their blocking `recv()` becomes a
+/// [`CTRL_POLL`] `recv_timeout`, so even an idle worker wakes promptly),
+/// and the pass returns the token's cancellation error. Counting progress
+/// is reported back through [`CancelToken::record_progress`] — one unit
+/// per transaction — which is what the stall watchdog listens to.
 ///
 /// A cancelled pass never returns partial tallies: any cancellation
 /// observed before return yields `Err`, and the caller's own completed
@@ -307,7 +278,7 @@ fn send_or_note_gone(
 /// per-worker [`crate::obs::MetricsShard`]s and absorbed at the merge —
 /// the same discipline as the count merge itself.
 #[allow(clippy::too_many_arguments)]
-pub fn parallel_pass_ctrl<S, W, R, FNew, FProc, FFin>(
+pub fn parallel_pass<S, W, R, FNew, FProc, FFin>(
     source: &S,
     threads: usize,
     block_size: usize,
@@ -580,6 +551,8 @@ mod tests {
                     &db,
                     threads,
                     block_size,
+                    None,
+                    &Obs::disabled(),
                     || 0u64,
                     |acc, block| {
                         block.iter().for_each(|t| {
@@ -609,6 +582,8 @@ mod tests {
             &db,
             3,
             7,
+            None,
+            &Obs::disabled(),
             Vec::new,
             |acc: &mut Vec<u64>, block| {
                 acc.extend((0..block.len()).map(|i| block.start() + i as u64))
@@ -633,9 +608,18 @@ mod tests {
             }
         }
         for threads in [1, 4] {
-            let err = parallel_pass(&Failing, threads, 8, || (), |_, _| (), |_| ())
-                .err()
-                .map(|e| e.to_string());
+            let err = parallel_pass(
+                &Failing,
+                threads,
+                8,
+                None,
+                &Obs::disabled(),
+                || (),
+                |_, _| (),
+                |_| (),
+            )
+            .err()
+            .map(|e| e.to_string());
             assert_eq!(err.as_deref(), Some("boom"), "threads {threads}");
         }
     }
@@ -655,7 +639,17 @@ mod tests {
     #[test]
     fn empty_source_yields_one_result_per_worker() {
         let db = TransactionDbBuilder::new().build();
-        let (parts, total) = parallel_pass(&db, 2, 16, || 1u32, |_, _| (), |w| w).unwrap();
+        let (parts, total) = parallel_pass(
+            &db,
+            2,
+            16,
+            None,
+            &Obs::disabled(),
+            || 1u32,
+            |_, _| (),
+            |w| w,
+        )
+        .unwrap();
         assert_eq!(total, 0);
         assert_eq!(parts, vec![1, 1]);
     }
@@ -670,7 +664,16 @@ mod tests {
         // threads * 2 = 4 guarantees the producer hits a full channel.
         let db = sample_db(10_000);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_pass(&db, 2, 1, || (), |_, _| panic!("worker died"), |_| ())
+            parallel_pass(
+                &db,
+                2,
+                1,
+                None,
+                &Obs::disabled(),
+                || (),
+                |_, _| panic!("worker died"),
+                |_| (),
+            )
         }));
         let payload = result.expect_err("the worker panic must propagate to the caller");
         let msg = payload
@@ -688,7 +691,7 @@ mod tests {
         for threads in [1, 4] {
             let token = CancelToken::new();
             token.cancel(CancelReason::DeadlineExceeded);
-            let err = parallel_pass_ctrl(
+            let err = parallel_pass(
                 &db,
                 threads,
                 16,
@@ -716,7 +719,7 @@ mod tests {
             let trip = token.clone();
             // The worker itself trips the token after the first block it
             // sees: producer and siblings must all notice and wind down.
-            let err = parallel_pass_ctrl(
+            let err = parallel_pass(
                 &db,
                 threads,
                 16,
@@ -757,7 +760,7 @@ mod tests {
                 .with_sink(ring.clone())
                 .with_metrics(metrics.clone());
             let (_, total) =
-                parallel_pass_ctrl(&db, threads, 64, None, &obs, || (), |_, _| (), |w| w).unwrap();
+                parallel_pass(&db, threads, 64, None, &obs, || (), |_, _| (), |w| w).unwrap();
             assert_eq!(total, 257);
             let events = ring.snapshot();
             let dispatched: u64 = events
@@ -798,7 +801,7 @@ mod tests {
             .unwrap();
         for threads in [1, 4] {
             let token = CancelToken::new();
-            let (parts, total) = parallel_pass_ctrl(
+            let (parts, total) = parallel_pass(
                 &db,
                 threads,
                 64,

@@ -33,8 +33,8 @@
 //!   memory, and each shard is its own fault domain (retry → salvage →
 //!   [`shard::ShardQuarantine`]) so one corrupt shard degrades the run
 //!   instead of killing it,
-//! * [`vertical`] — TID-list (inverted) indexes with intersection-based
-//!   support counting, used as an alternative counting backend.
+//! * [`vertical`] — packed TID-bitmap indexes with AND + popcount
+//!   support counting, the building blocks of the bitmap counting backend.
 //!
 //! # Example
 //!

@@ -1,243 +1,17 @@
-//! Vertical (TID-list and TID-bitmap) representations of a transaction
-//! database.
+//! Vertical (TID-bitmap) representations of a transaction database.
 //!
-//! [`TidListIndex`] stores, for every item, the sorted list of transaction
-//! positions containing it; the support of an itemset is the size of the
-//! intersection of its members' lists. With a taxonomy, a category's list
-//! is the union of its descendants' lists, so *generalized* supports fall
-//! out of the same intersection. This serves as an alternative counting
-//! backend: after the one pass that builds the index, any number of
-//! candidate itemsets can be counted without touching the database again.
-//!
-//! [`TidBitmap`] is the packed sibling: one bitset of `u64` words per item
-//! row, support by word-wise AND + popcount. Category rows are the OR-union
-//! of their descendants' rows, computed **once** at build time instead of
-//! per query. [`BitmapChunk`] is the partitionable building block the
-//! parallel counting layer uses: each worker owns chunks covering only the
+//! [`TidBitmap`] holds one bitset of `u64` words per item row; the support
+//! of an itemset is a word-wise AND + popcount over its members' rows.
+//! Category rows are the OR-union of their descendants' rows, computed
+//! **once** at build time, so *generalized* supports fall out of the same
+//! AND. [`BitmapChunk`] is the partitionable building block the parallel
+//! counting layer uses: each worker owns chunks covering only the
 //! transaction blocks it was dealt, so per-worker partial popcounts merge
 //! by plain addition (Savasere et al.'s partition invariant, bit-level).
 
-use crate::block::{parallel_pass, Parallelism, DEFAULT_BLOCK_SIZE};
 use crate::scan::TransactionSource;
 use negassoc_taxonomy::{ItemId, Taxonomy};
 use std::io;
-
-/// An inverted index from item to the sorted TID-positions containing it.
-///
-/// ```
-/// use negassoc_txdb::{vertical::TidListIndex, TransactionDbBuilder};
-/// use negassoc_taxonomy::ItemId;
-///
-/// let mut b = TransactionDbBuilder::new();
-/// b.add([ItemId(1), ItemId(2)]);
-/// b.add([ItemId(2)]);
-/// let idx = TidListIndex::build(&b.build()).unwrap();
-/// assert_eq!(idx.support(&[ItemId(2)]), 2);
-/// assert_eq!(idx.support(&[ItemId(1), ItemId(2)]), 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TidListIndex {
-    lists: Vec<Vec<u32>>,
-    num_transactions: u64,
-}
-
-impl TidListIndex {
-    /// Build an index over the *literal* items of `source` (no taxonomy).
-    /// Costs one pass.
-    pub fn build<S: TransactionSource>(source: &S) -> io::Result<Self> {
-        Self::build_inner(source, None)
-    }
-
-    /// Build an index in which every transaction is extended with the
-    /// ancestors of its items, so category supports are directly queryable.
-    /// Costs one pass.
-    pub fn build_generalized<S: TransactionSource>(
-        source: &S,
-        taxonomy: &Taxonomy,
-    ) -> io::Result<Self> {
-        Self::build_inner(source, Some(taxonomy))
-    }
-
-    /// [`Self::build`] / [`Self::build_generalized`] with a worker pool:
-    /// each worker indexes whole transaction blocks (absolute positions,
-    /// so lists from different blocks never interleave) and the blocks are
-    /// merged back in stream order. The result is identical to the
-    /// sequential build — same lists, same order — for any thread count,
-    /// including over streamed sources.
-    pub fn build_with<S: TransactionSource + ?Sized>(
-        source: &S,
-        taxonomy: Option<&Taxonomy>,
-        parallelism: Parallelism,
-    ) -> io::Result<Self> {
-        let threads = parallelism.resolve();
-        if threads <= 1 {
-            return Self::build_inner(source, taxonomy);
-        }
-        // Worker state: (block start, per-item positions) per block seen,
-        // plus an overflow marker for positions beyond u32.
-        type BlockLists = (u64, Vec<Vec<u32>>);
-        let seed_len = taxonomy.map_or(0, Taxonomy::len);
-        let (parts, total) = parallel_pass(
-            source,
-            threads,
-            DEFAULT_BLOCK_SIZE,
-            || (Vec::<BlockLists>::new(), false),
-            |(blocks, overflow), block| {
-                let mut lists: Vec<Vec<u32>> = vec![Vec::new(); seed_len];
-                for (i, t) in block.iter().enumerate() {
-                    let Ok(pos) = u32::try_from(block.start() + i as u64) else {
-                        *overflow = true;
-                        return;
-                    };
-                    for &item in t.items() {
-                        let idx = item.index();
-                        if idx >= lists.len() {
-                            lists.resize_with(idx + 1, Vec::new);
-                        }
-                        push_unique(&mut lists[idx], pos);
-                        if let Some(tax) = taxonomy {
-                            for anc in tax.ancestors(item) {
-                                push_unique(&mut lists[anc.index()], pos);
-                            }
-                        }
-                    }
-                }
-                blocks.push((block.start(), lists));
-            },
-            |state| state,
-        )?;
-        if total > u64::from(u32::MAX) || parts.iter().any(|(_, overflow)| *overflow) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "TID-list index supports at most u32::MAX transactions",
-            ));
-        }
-        // Stitch the blocks back together in stream order. Positions are
-        // absolute and blocks are disjoint, so per-item concatenation in
-        // block order reproduces the sequential build's sorted lists.
-        let mut blocks: Vec<BlockLists> =
-            parts.into_iter().flat_map(|(blocks, _)| blocks).collect();
-        blocks.sort_unstable_by_key(|(start, _)| *start);
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); seed_len];
-        for (_, block_lists) in blocks {
-            if block_lists.len() > lists.len() {
-                lists.resize_with(block_lists.len(), Vec::new);
-            }
-            for (idx, mut positions) in block_lists.into_iter().enumerate() {
-                if !positions.is_empty() {
-                    lists[idx].append(&mut positions);
-                }
-            }
-        }
-        Ok(Self {
-            lists,
-            num_transactions: total,
-        })
-    }
-
-    fn build_inner<S: TransactionSource + ?Sized>(
-        source: &S,
-        taxonomy: Option<&Taxonomy>,
-    ) -> io::Result<Self> {
-        let mut lists: Vec<Vec<u32>> = match taxonomy {
-            Some(t) => vec![Vec::new(); t.len()],
-            None => Vec::new(),
-        };
-        let mut pos: u32 = 0;
-        let mut overflow = false;
-        source.pass(&mut |t| {
-            if overflow {
-                return;
-            }
-            for &item in t.items() {
-                let idx = item.index();
-                if idx >= lists.len() {
-                    lists.resize_with(idx + 1, Vec::new);
-                }
-                push_unique(&mut lists[idx], pos);
-                if let Some(tax) = taxonomy {
-                    for anc in tax.ancestors(item) {
-                        push_unique(&mut lists[anc.index()], pos);
-                    }
-                }
-            }
-            pos = match pos.checked_add(1) {
-                Some(p) => p,
-                None => {
-                    overflow = true;
-                    pos
-                }
-            };
-        })?;
-        if overflow {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "TID-list index supports at most u32::MAX transactions",
-            ));
-        }
-        Ok(Self {
-            lists,
-            num_transactions: u64::from(pos),
-        })
-    }
-
-    /// Number of transactions indexed.
-    #[inline]
-    pub fn num_transactions(&self) -> u64 {
-        self.num_transactions
-    }
-
-    /// One past the largest item id with an index slot (ids at or above
-    /// this bound certainly have no occurrences).
-    #[inline]
-    pub fn max_item_bound(&self) -> u32 {
-        self.lists.len() as u32
-    }
-
-    /// The sorted TID-positions containing `item` (empty for unseen items).
-    #[inline]
-    pub fn tids(&self, item: ItemId) -> &[u32] {
-        self.lists.get(item.index()).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Support (absolute count) of a single item.
-    #[inline]
-    pub fn support_1(&self, item: ItemId) -> u64 {
-        self.tids(item).len() as u64
-    }
-
-    /// Support (absolute count) of an itemset: the size of the intersection
-    /// of the members' TID lists. Lists are intersected smallest-first so
-    /// the running set can only shrink.
-    pub fn support(&self, itemset: &[ItemId]) -> u64 {
-        match itemset.len() {
-            0 => self.num_transactions,
-            1 => self.support_1(itemset[0]),
-            _ => {
-                let mut lists: Vec<&[u32]> = itemset.iter().map(|&i| self.tids(i)).collect();
-                lists.sort_by_key(|l| l.len());
-                let mut acc: Vec<u32> = lists[0].to_vec();
-                for rest in &lists[1..] {
-                    intersect_into(&mut acc, rest);
-                    if acc.is_empty() {
-                        return 0;
-                    }
-                }
-                acc.len() as u64
-            }
-        }
-    }
-}
-
-/// Append `pos` unless it is already the last element (items of one
-/// transaction are distinct, but with a taxonomy two items can share an
-/// ancestor).
-#[inline]
-fn push_unique(list: &mut Vec<u32>, pos: u32) {
-    if list.last() != Some(&pos) {
-        list.push(pos);
-    }
-}
 
 /// A rectangular slab of presence bits: `rows` bit-rows over a window of
 /// at most `capacity` transactions, packed into `u64` words row-major.
@@ -339,9 +113,8 @@ impl BitmapChunk {
 /// supports by AND + popcount.
 ///
 /// With a taxonomy, every category row is the OR-union of its descendants'
-/// rows, computed once after the single build pass — superseding the
-/// per-transaction ancestor extension (and the per-query list work) the
-/// TID-list index pays.
+/// rows, computed once after the single build pass instead of extending
+/// every transaction with its ancestors.
 ///
 /// ```
 /// use negassoc_txdb::{vertical::TidBitmap, TransactionDbBuilder};
@@ -448,9 +221,9 @@ impl TidBitmap {
         self.chunk.count(&[item.0])
     }
 
-    /// Support (absolute count) of an itemset by AND + popcount. Matches
-    /// [`TidListIndex::support`]: the empty itemset is in every
-    /// transaction; unseen items have empty rows.
+    /// Support (absolute count) of an itemset by AND + popcount. The
+    /// empty itemset is in every transaction; unseen items have empty
+    /// rows.
     pub fn support(&self, itemset: &[ItemId]) -> u64 {
         if itemset.is_empty() {
             return self.num_transactions;
@@ -482,26 +255,6 @@ fn merge_literal_row(chunk: &mut BitmapChunk, literal: &BitmapChunk, src: u32, d
     }
 }
 
-/// Replace `acc` with `acc ∩ other`; both sorted ascending.
-fn intersect_into(acc: &mut Vec<u32>, other: &[u32]) {
-    let mut write = 0;
-    let mut j = 0;
-    for read in 0..acc.len() {
-        let v = acc[read];
-        // Galloping would pay off for skewed sizes; linear merge is fine at
-        // the list sizes the paper's workloads produce.
-        while j < other.len() && other[j] < v {
-            j += 1;
-        }
-        if j < other.len() && other[j] == v {
-            acc[write] = v;
-            write += 1;
-            j += 1;
-        }
-    }
-    acc.truncate(write);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,16 +271,18 @@ mod tests {
         b.add(ids(&[0, 1]));
         b.add(ids(&[1, 2]));
         b.add(ids(&[0, 1, 2]));
-        let idx = TidListIndex::build(&b.build()).unwrap();
+        let idx = TidBitmap::build(&b.build()).unwrap();
 
         assert_eq!(idx.num_transactions(), 3);
+        assert_eq!(idx.max_item_bound(), 3);
         assert_eq!(idx.support_1(ItemId(1)), 3);
+        assert_eq!(idx.support_1(ItemId(2)), 2);
         assert_eq!(idx.support(&ids(&[0, 1])), 2);
         assert_eq!(idx.support(&ids(&[0, 2])), 1);
         assert_eq!(idx.support(&ids(&[0, 1, 2])), 1);
         assert_eq!(idx.support(&[]), 3);
         assert_eq!(idx.support(&ids(&[7])), 0);
-        assert_eq!(idx.tids(ItemId(2)), &[1, 2]);
+        assert_eq!(idx.support_1(ItemId(7)), 0);
     }
 
     #[test]
@@ -543,73 +298,26 @@ mod tests {
         b.add([l1]);
         b.add([l2]);
         b.add([l1, l2]);
-        let idx = TidListIndex::build_generalized(&b.build(), &tax).unwrap();
+        let db = b.build();
+        let idx = TidBitmap::build_generalized(&db, &tax).unwrap();
 
         // Category appears in all three transactions, but only once each
         // even when both children are present.
         assert_eq!(idx.support_1(cat), 3);
         assert_eq!(idx.support(&[cat, l1]), 2);
         assert_eq!(idx.support_1(l1), 2);
+        // The literal build knows nothing of the category.
+        let flat = TidBitmap::build(&db).unwrap();
+        assert_eq!(flat.support_1(cat), 0);
     }
 
     #[test]
     fn empty_database() {
         let db = TransactionDbBuilder::new().build();
-        let idx = TidListIndex::build(&db).unwrap();
+        let idx = TidBitmap::build(&db).unwrap();
         assert_eq!(idx.num_transactions(), 0);
         assert_eq!(idx.support(&ids(&[0])), 0);
         assert_eq!(idx.support(&[]), 0);
-    }
-
-    /// The parallel build must reproduce the sequential one exactly —
-    /// same lists in the same order — flat and generalized, at any
-    /// thread count.
-    #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
-        let mut tb = TaxonomyBuilder::new();
-        let cat = tb.add_root("cat");
-        let l1 = tb.add_child(cat, "l1").unwrap();
-        let l2 = tb.add_child(cat, "l2").unwrap();
-        let tax = tb.build();
-
-        let mut b = TransactionDbBuilder::new();
-        for i in 0..500u32 {
-            match i % 3 {
-                0 => b.add([l1]),
-                1 => b.add([l2]),
-                _ => b.add([l1, l2]),
-            };
-        }
-        let db = b.build();
-
-        let flat_seq = TidListIndex::build(&db).unwrap();
-        let gen_seq = TidListIndex::build_generalized(&db, &tax).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let p = Parallelism::Threads(threads);
-            let flat_par = TidListIndex::build_with(&db, None, p).unwrap();
-            let gen_par = TidListIndex::build_with(&db, Some(&tax), p).unwrap();
-            assert_eq!(flat_par.num_transactions(), flat_seq.num_transactions());
-            assert_eq!(flat_par.lists, flat_seq.lists, "flat, {threads} threads");
-            assert_eq!(
-                gen_par.lists, gen_seq.lists,
-                "generalized, {threads} threads"
-            );
-        }
-        // The policy default is the sequential path.
-        let via_default = TidListIndex::build_with(&db, None, Parallelism::Sequential).unwrap();
-        assert_eq!(via_default.lists, flat_seq.lists);
-    }
-
-    #[test]
-    fn intersect_into_cases() {
-        let mut a = vec![1, 3, 5, 7];
-        intersect_into(&mut a, &[3, 4, 7, 9]);
-        assert_eq!(a, vec![3, 7]);
-        let mut b: Vec<u32> = vec![];
-        intersect_into(&mut b, &[1]);
-        assert!(b.is_empty());
-        let mut c = vec![1, 2];
-        intersect_into(&mut c, &[]);
-        assert!(c.is_empty());
+        assert_eq!(idx.total_words(), 0);
     }
 }

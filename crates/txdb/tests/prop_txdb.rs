@@ -1,6 +1,6 @@
 //! Property-based tests for the transaction database substrate.
 
-use negassoc_taxonomy::ItemId;
+use negassoc_taxonomy::{ItemId, Taxonomy, TaxonomyBuilder};
 use negassoc_txdb::TransactionSource;
 use negassoc_txdb::{
     binfmt, fault, partition, textfmt, vertical, TransactionDb, TransactionDbBuilder,
@@ -9,6 +9,42 @@ use proptest::prelude::*;
 
 fn arb_db() -> impl Strategy<Value = TransactionDb> {
     prop::collection::vec(prop::collection::vec(0u32..200, 0..12), 0..40).prop_map(|txs| {
+        let mut b = TransactionDbBuilder::new();
+        for t in txs {
+            b.add(t.into_iter().map(ItemId));
+        }
+        b.build()
+    })
+}
+
+/// Items of the generalized cases: a forest small enough that random
+/// transactions hit shared ancestors often.
+const TAX_ITEMS: u32 = 24;
+
+/// A random forest over `0..TAX_ITEMS` (item `i`'s parent drawn from
+/// `0..i` or none).
+fn arb_taxonomy() -> impl Strategy<Value = Taxonomy> {
+    prop::collection::vec(prop::option::weighted(0.7, 0u32..1000), TAX_ITEMS as usize).prop_map(
+        |parents| {
+            let mut b = TaxonomyBuilder::new();
+            for (i, p) in parents.iter().enumerate() {
+                let name = format!("item{i}");
+                match p {
+                    Some(raw) if i > 0 => {
+                        b.add_child(ItemId(raw % i as u32), &name).unwrap();
+                    }
+                    _ => {
+                        b.add_root(&name);
+                    }
+                }
+            }
+            b.build()
+        },
+    )
+}
+
+fn arb_tax_db() -> impl Strategy<Value = TransactionDb> {
+    prop::collection::vec(prop::collection::vec(0u32..TAX_ITEMS, 0..6), 0..40).prop_map(|txs| {
         let mut b = TransactionDbBuilder::new();
         for t in txs {
             b.add(t.into_iter().map(ItemId));
@@ -48,19 +84,42 @@ proptest! {
         prop_assert!(db_eq(&db, &back));
     }
 
-    /// TID-list supports agree with brute-force counting.
+    /// TID-bitmap supports agree with brute-force counting.
     #[test]
     fn vertical_support_matches_bruteforce(
         db in arb_db(),
         query in prop::collection::btree_set(0u32..200, 1..4),
     ) {
-        let idx = vertical::TidListIndex::build(&db).unwrap();
+        let idx = vertical::TidBitmap::build(&db).unwrap();
         let itemset: Vec<ItemId> = query.into_iter().map(ItemId).collect();
         let brute = db
             .iter()
             .filter(|t| t.contains_all(&itemset))
             .count() as u64;
         prop_assert_eq!(idx.support(&itemset), brute);
+        prop_assert_eq!(idx.num_transactions(), db.len() as u64);
+    }
+
+    /// Generalized TID-bitmap supports agree with brute force over
+    /// ancestor-extended transactions: a transaction supports an itemset
+    /// when, for every member, it holds the member or a descendant of it.
+    #[test]
+    fn generalized_vertical_support_matches_bruteforce(
+        db in arb_tax_db(),
+        tax in arb_taxonomy(),
+        query in prop::collection::btree_set(0u32..TAX_ITEMS, 1..4),
+    ) {
+        let idx = vertical::TidBitmap::build_generalized(&db, &tax).unwrap();
+        let itemset: Vec<ItemId> = query.into_iter().map(ItemId).collect();
+        let brute = db
+            .iter()
+            .filter(|t| {
+                itemset.iter().all(|&m| {
+                    t.items().iter().any(|&it| it == m || tax.is_ancestor(m, it))
+                })
+            })
+            .count() as u64;
+        prop_assert_eq!(idx.support(&itemset), brute, "{:?}", itemset);
     }
 
     /// Partitions are a disjoint cover in order.

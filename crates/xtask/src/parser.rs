@@ -83,7 +83,7 @@ pub struct EmitSite {
 /// Everything the flow lints need to know about one function.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FnFacts {
-    /// Bare name (`partition_mine_ctrl`).
+    /// Bare name (`partition_mine`).
     pub name: String,
     /// `Type::name` for `impl` methods, the bare name otherwise.
     pub qual: String,
@@ -142,13 +142,7 @@ pub struct FileFacts {
 
 /// Closure arguments to these callees run once per item: their bodies
 /// are loop scopes for the flow lints.
-const ITER_CALLEES: &[&str] = &[
-    "pass",
-    "parallel_map",
-    "parallel_pass",
-    "parallel_pass_ctrl",
-    "for_each",
-];
+const ITER_CALLEES: &[&str] = &["pass", "parallel_map", "parallel_pass", "for_each"];
 
 /// Keywords that can precede `(` without being calls.
 const NON_CALL_KEYWORDS: &[&str] = &[

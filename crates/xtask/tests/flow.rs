@@ -2,7 +2,7 @@
 //! mining sources, cross-file delegation, and the incremental cache.
 //!
 //! The mutation checks are the analyzer's canary: delete the token poll
-//! from `partition_mine_ctrl` and L010 must catch it; break the pass-end
+//! from `partition_mine` and L010 must catch it; break the pass-end
 //! emit and L011 must. If either mutation sails through, the lints have
 //! rotted into decoration.
 
@@ -41,7 +41,7 @@ fn partition_mine_as_written_is_clean() {
 fn deleting_the_token_poll_is_one_l010() {
     let source = real_source(PARTITION_MINE);
     assert!(source.contains("c.check()?;"), "mutation anchor moved");
-    // The file has one poll per token-carrying loop (`partition_mine_ctrl`
+    // The file has one poll per token-carrying loop (`partition_mine`
     // phase 1 first, then the shard and verify loops); delete only the
     // first so exactly one fn loses its only poll.
     let mutated = source.replacen("c.check()?;", "", 1);

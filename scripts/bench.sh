@@ -12,7 +12,7 @@ SCALE="${BENCH_SCALE:-4000}"
 echo "==> cargo build --release (bench harness)"
 cargo build -q --release -p negassoc-bench
 
-echo "==> counting backends: flat vs hashtree vs bitmap x 1/2/4 threads (scale $SCALE)"
+echo "==> counting backends: flat vs bitmap x 1/2/4 threads (scale $SCALE)"
 ./target/release/paper counting --scale "$SCALE"
 
 echo "==> BENCH_counting.json"

@@ -123,9 +123,8 @@ fn config(parallelism: Parallelism, backend: CountingBackend) -> MinerConfig {
 /// Deal a counting backend from the chaos schedule: like thread counts,
 /// backends may change freely between attempts without moving the answer.
 fn pick_backend(rng: &mut u64) -> CountingBackend {
-    match splitmix64(rng) % 3 {
-        0 => CountingBackend::HashTree,
-        1 => CountingBackend::SubsetHashMap,
+    match splitmix64(rng) % 2 {
+        0 => CountingBackend::SubsetHashMap,
         _ => CountingBackend::TidBitmap,
     }
 }
@@ -176,9 +175,12 @@ fn assert_cancellation_shape(err: &Error) {
 fn soak(seed: u64) {
     let (tax, db) = scenario();
     let total = db.len() as u64;
-    let clean = NegativeMiner::new(config(Parallelism::Sequential, CountingBackend::HashTree))
-        .mine(&db, &tax)
-        .unwrap();
+    let clean = NegativeMiner::new(config(
+        Parallelism::Sequential,
+        CountingBackend::SubsetHashMap,
+    ))
+    .mine(&db, &tax)
+    .unwrap();
 
     let dir = TmpDir::new("soak");
     let mut rng = seed;
@@ -290,9 +292,12 @@ fn chaos_seed_4_converges_to_the_uninterrupted_answer() {
 #[test]
 fn cancelling_at_every_pass_boundary_then_resuming_is_exact() {
     let (tax, db) = scenario();
-    let clean = NegativeMiner::new(config(Parallelism::Sequential, CountingBackend::HashTree))
-        .mine(&db, &tax)
-        .unwrap();
+    let clean = NegativeMiner::new(config(
+        Parallelism::Sequential,
+        CountingBackend::SubsetHashMap,
+    ))
+    .mine(&db, &tax)
+    .unwrap();
     let passes = clean.report.passes;
     assert!(passes >= 2, "scenario too shallow to interrupt");
 
@@ -304,10 +309,11 @@ fn cancelling_at_every_pass_boundary_then_resuming_is_exact() {
         } else {
             (Parallelism::Threads(4), Parallelism::Sequential)
         };
-        let (cancel_be, resume_be) = match boundary % 3 {
-            0 => (CountingBackend::HashTree, CountingBackend::TidBitmap),
-            1 => (CountingBackend::TidBitmap, CountingBackend::SubsetHashMap),
-            _ => (CountingBackend::SubsetHashMap, CountingBackend::HashTree),
+        // Backends flip on a different beat than thread counts, so every
+        // (threads, backend) pairing is exercised across the boundaries.
+        let (cancel_be, resume_be) = match (boundary / 2) % 2 {
+            0 => (CountingBackend::TidBitmap, CountingBackend::SubsetHashMap),
+            _ => (CountingBackend::SubsetHashMap, CountingBackend::TidBitmap),
         };
         let ctrl = RunControl::new();
         let err = NegativeMiner::new(config(cancel_par, cancel_be))
@@ -346,9 +352,12 @@ fn interrupted_run_records_only_completed_passes() {
 
     let (tax, db) = scenario();
     let total = db.len() as u64;
-    let clean = NegativeMiner::new(config(Parallelism::Sequential, CountingBackend::HashTree))
-        .mine(&db, &tax)
-        .unwrap();
+    let clean = NegativeMiner::new(config(
+        Parallelism::Sequential,
+        CountingBackend::SubsetHashMap,
+    ))
+    .mine(&db, &tax)
+    .unwrap();
     assert!(
         clean.report.passes >= 2,
         "scenario too shallow to interrupt"
@@ -423,9 +432,12 @@ fn shard_corruption_matrix_degrades_to_the_healthy_shards_exactly() {
     let (tax, db) = scenario();
 
     // Baseline: all shards healthy ≡ the unsharded database, bitwise.
-    let clean = NegativeMiner::new(config(Parallelism::Sequential, CountingBackend::HashTree))
-        .mine(&db, &tax)
-        .unwrap();
+    let clean = NegativeMiner::new(config(
+        Parallelism::Sequential,
+        CountingBackend::SubsetHashMap,
+    ))
+    .mine(&db, &tax)
+    .unwrap();
     {
         let dir = TmpDir::new("shard-healthy");
         std::fs::create_dir_all(&dir.0).unwrap();
@@ -433,7 +445,7 @@ fn shard_corruption_matrix_degrades_to_the_healthy_shards_exactly() {
         write_sharded(&db, &manifest_path, SHARDS).unwrap();
         let src = ShardedSource::open(&manifest_path).unwrap();
         for (parallelism, backend) in [
-            (Parallelism::Sequential, CountingBackend::HashTree),
+            (Parallelism::Sequential, CountingBackend::SubsetHashMap),
             (Parallelism::Threads(4), CountingBackend::TidBitmap),
         ] {
             let out = NegativeMiner::new(config(parallelism, backend))
@@ -477,17 +489,19 @@ fn shard_corruption_matrix_degrades_to_the_healthy_shards_exactly() {
                 .unwrap();
         }
         let healthy = b.build();
-        let reference =
-            NegativeMiner::new(config(Parallelism::Sequential, CountingBackend::HashTree))
-                .mine(&healthy, &tax)
-                .unwrap();
+        let reference = NegativeMiner::new(config(
+            Parallelism::Sequential,
+            CountingBackend::SubsetHashMap,
+        ))
+        .mine(&healthy, &tax)
+        .unwrap();
 
         let src = ShardedSource::open_degraded(&manifest_path).unwrap();
         assert_eq!(src.quarantine().shards.len(), 1);
         assert_eq!(src.quarantine().shards[0].index, k);
 
         for (parallelism, backend) in [
-            (Parallelism::Sequential, CountingBackend::HashTree),
+            (Parallelism::Sequential, CountingBackend::SubsetHashMap),
             (Parallelism::Threads(4), CountingBackend::TidBitmap),
         ] {
             let out = NegativeMiner::new(config(parallelism, backend))
@@ -524,10 +538,12 @@ fn shard_corruption_matrix_degrades_to_the_healthy_shards_exactly() {
             )
             .unwrap_err();
         assert_cancellation_shape(&err);
-        let resumed =
-            NegativeMiner::new(config(Parallelism::Sequential, CountingBackend::HashTree))
-                .mine_with_recovery(&src, &tax, None, &ckpt.0)
-                .unwrap();
+        let resumed = NegativeMiner::new(config(
+            Parallelism::Sequential,
+            CountingBackend::SubsetHashMap,
+        ))
+        .mine_with_recovery(&src, &tax, None, &ckpt.0)
+        .unwrap();
         assert_eq!(
             outcome_key(&resumed),
             outcome_key(&reference),
@@ -544,9 +560,12 @@ fn expired_deadline_cancels_before_any_pass() {
     let pc = negassoc_txdb::PassCounter::new(db);
     let ctrl = RunControl::new().with_deadline(Deadline::after(Duration::ZERO));
     let dir = TmpDir::new("deadline");
-    let err = NegativeMiner::new(config(Parallelism::Sequential, CountingBackend::HashTree))
-        .mine_with_controls(&pc, &tax, None, Some(&dir.0), &ctrl)
-        .unwrap_err();
+    let err = NegativeMiner::new(config(
+        Parallelism::Sequential,
+        CountingBackend::SubsetHashMap,
+    ))
+    .mine_with_controls(&pc, &tax, None, Some(&dir.0), &ctrl)
+    .unwrap_err();
     match err {
         Error::Cancelled {
             reason,

@@ -4,6 +4,7 @@
 //! extra passes only under the §2.5 memory cap.
 
 use negassoc::config::Driver;
+use negassoc::obs::Obs;
 use negassoc::{MinerConfig, NegativeMiner};
 use negassoc_apriori::MinSupport;
 use negassoc_taxonomy::{Taxonomy, TaxonomyBuilder};
@@ -100,6 +101,8 @@ fn improved_is_positive_passes_plus_one() {
         MinSupport::Fraction(0.15),
         Default::default(),
         Default::default(),
+        None,
+        &Obs::disabled(),
     )
     .unwrap();
     let positive_passes = pc.passes();
