@@ -6,7 +6,7 @@
 use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
 use crate::itemset::{Itemset, LargeItemsets};
-use crate::parallel::{count_mixed_parallel, identity_sync_mapper, Obs, Parallelism};
+use crate::parallel::{count_mixed_parallel, Extension, Obs, Parallelism};
 use crate::MinSupport;
 use negassoc_taxonomy::ItemId;
 use negassoc_txdb::TransactionSource;
@@ -61,7 +61,7 @@ pub fn apriori<S: TransactionSource + ?Sized>(
             source,
             candidates,
             backend,
-            &identity_sync_mapper,
+            Extension::Literal,
             Parallelism::Sequential,
             None,
             &Obs::disabled(),

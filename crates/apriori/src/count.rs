@@ -3,8 +3,8 @@
 //! Every pass-based miner in this workspace counts through
 //! [`crate::parallel::count_mixed_parallel`] (candidates of any sizes in a
 //! single pass, with the worker pool its [`Parallelism`] selects). The
-//! caller's mapper lets generalized mining extend each transaction with
-//! taxonomy ancestors — counting itself is agnostic.
+//! caller's [`Extension`] names how generalized mining extends each
+//! transaction with taxonomy ancestors — counting itself is agnostic.
 //!
 //! Backends:
 //!
@@ -13,23 +13,34 @@
 //!   then every candidate is counted by word-wise AND + popcount (see
 //!   [`negassoc_txdb::vertical`]; DESIGN.md §14); a pass of dense pairs
 //!   (every candidate a pair, filling at least half of the triangle over
-//!   their items, as at L2) is counted in a triangular pair matrix instead,
+//!   their items, as at L2) is counted in a triangular pair matrix instead.
+//!   Transactions reach their rows through one dense `RowMap` built per
+//!   pass: an item's own row plus the rows of its ancestors that some
+//!   candidate mentions. That table *is* Cumulate's "add only the needed
+//!   ancestors" optimization, as an array lookup instead of a hash-set
+//!   filter. The AND kernel runs chunk-outer and shares the AND of each
+//!   (k−1)-prefix among the candidates that extend it (Eclat's
+//!   prefix-class intersection),
 //! * [`CountingBackend::SubsetHashMap`] — a hash map keyed by candidate,
 //!   probed either by enumerating the transaction's k-subsets or by testing
-//!   each candidate, whichever is cheaper per transaction. Small and
-//!   obviously correct: the reference the bitmap path is diffed against.
+//!   each candidate, whichever is cheaper per transaction. Transactions are
+//!   extended by its own [`AncestorTable`] walk, sharing no code with the
+//!   row map. Small and obviously correct: the reference the bitmap path
+//!   is diffed against.
 //!
 //! Both backends produce identical counts for identical inputs; the choice
 //! only moves wall time and memory.
 //!
+//! [`AncestorTable`]: crate::generalized::AncestorTable
 //! [`Parallelism`]: crate::parallel::Parallelism
 
 use crate::itemset::Itemset;
-use negassoc_taxonomy::fxhash::{FxHashMap, FxHashSet};
+use crate::parallel::Extension;
+use negassoc_taxonomy::fxhash::FxHashMap;
 use negassoc_taxonomy::ItemId;
 use negassoc_txdb::block::DEFAULT_BLOCK_SIZE;
 use negassoc_txdb::obs::{metric, Event, Obs};
-use negassoc_txdb::vertical::BitmapChunk;
+use negassoc_txdb::vertical::{and_assign, and_count, BitmapChunk};
 use std::io;
 
 /// Pass-based counting strategy.
@@ -43,23 +54,70 @@ pub enum CountingBackend {
     TidBitmap,
 }
 
-pub(crate) fn items_of(candidates: &[Itemset]) -> FxHashSet<ItemId> {
-    let mut s = FxHashSet::default();
-    for c in candidates {
-        s.extend(c.items().iter().copied());
+/// Marks an item no candidate mentions in [`BitmapPlan::new`]'s dense
+/// item → row table.
+const NO_ROW: u32 = u32::MAX;
+
+/// The bitmap backend's per-pass transaction mapping: for every item id,
+/// the rows a transaction holding it sets — the item's own row when a
+/// candidate mentions it, then the row of each ancestor a candidate
+/// mentions. Stored as one CSR list over a dense id range, so mapping a
+/// transaction is a slice copy per item, with no hashing.
+///
+/// The range covers every item of the taxonomy, not only the largest id a
+/// candidate mentions: a leaf no candidate names still carries its planned
+/// ancestors. Items outside the range (ids beyond the taxonomy and every
+/// candidate) map to nothing.
+pub(crate) struct RowMap {
+    /// `reach[starts[i]..starts[i + 1]]` are item `i`'s rows.
+    starts: Vec<usize>,
+    reach: Vec<u32>,
+}
+
+impl RowMap {
+    /// The map for the dense table `row_of` (item id → row or [`NO_ROW`]),
+    /// extended with planned ancestors when `extension` names a taxonomy.
+    fn new(row_of: &[u32], extension: Extension<'_>) -> Self {
+        let ancestors = extension.ancestors();
+        let mut starts = Vec::with_capacity(row_of.len() + 1);
+        let mut reach = Vec::new();
+        starts.push(0);
+        for (i, &row) in row_of.iter().enumerate() {
+            if row != NO_ROW {
+                reach.push(row);
+            }
+            for anc in ancestors.map_or(&[][..], |a| a.ancestors(ItemId(i as u32))) {
+                match row_of.get(anc.index()) {
+                    Some(&r) if r != NO_ROW => reach.push(r),
+                    _ => {}
+                }
+            }
+            starts.push(reach.len());
+        }
+        Self { starts, reach }
     }
-    s
+
+    /// The rows a transaction holding `item` sets (unordered; an item and
+    /// its ancestors never share a row, but two items of one transaction
+    /// can share an ancestor's).
+    #[inline]
+    pub(crate) fn rows(&self, item: ItemId) -> &[u32] {
+        match self.starts.get(item.index()..item.index() + 2) {
+            Some(&[lo, hi]) => &self.reach[lo..hi],
+            _ => &[],
+        }
+    }
 }
 
 /// The bitmap backend's pass-independent setup, shared by every worker of
 /// the pool in [`crate::parallel`]: a dense row per item the candidates
-/// mention (categories included — the mapper already surfaces them per
-/// transaction, so a category row *is* the union of its descendants'
-/// occurrences), each candidate pre-resolved to its rows, and the counting
-/// layout the candidate shape selects.
+/// mention (categories included — a category row is the union of its
+/// descendants' occurrences, because the [`RowMap`] sends every
+/// descendant to it), the row map, each candidate pre-resolved to its
+/// rows, and the counting layout the candidate shape selects.
 pub(crate) struct BitmapPlan {
-    /// Item → dense bitmap row.
-    pub(crate) row_of: FxHashMap<ItemId, u32>,
+    /// Transaction item → rows.
+    pub(crate) map: RowMap,
     /// Every candidate's rows, concatenated in input order (one flat
     /// buffer: an L2 plan holds hundreds of thousands of candidates).
     cand_rows: Vec<u32>,
@@ -71,48 +129,57 @@ pub(crate) struct BitmapPlan {
     /// when every candidate is a pair and the candidates fill at least
     /// half of the triangle over their rows (always true at L2).
     pairs: bool,
+    /// The AND kernel's candidate order (empty in the pair layout).
+    groups: PrefixGroups,
 }
 
 impl BitmapPlan {
-    pub(crate) fn new(candidates: &[Itemset]) -> Self {
-        let mut needed: Vec<ItemId> = items_of(candidates).into_iter().collect();
-        // Sorted assignment keeps row numbering independent of hash order,
-        // and makes a strictly ascending transaction map to strictly
-        // ascending rows, which the pair matrix relies on.
-        needed.sort_unstable();
-        let row_of: FxHashMap<ItemId, u32> = needed
+    pub(crate) fn new(candidates: &[Itemset], extension: Extension<'_>) -> Self {
+        // The dense table spans every candidate item and, under a
+        // taxonomy, every item of it. Rows are assigned in ascending item
+        // order, which keeps numbering independent of candidate order.
+        let bound = candidates
             .iter()
-            .enumerate()
-            .map(|(i, &item)| (item, i as u32))
-            .collect();
+            .filter_map(|c| c.items().last())
+            .map(|i| i.index() + 1)
+            .max()
+            .unwrap_or(0)
+            .max(extension.ancestors().map_or(0, |a| a.len()));
+        let mut row_of = vec![NO_ROW; bound];
+        for c in candidates {
+            for i in c.items() {
+                row_of[i.index()] = 0;
+            }
+        }
+        let mut rows = 0u32;
+        for r in row_of.iter_mut().filter(|r| **r != NO_ROW) {
+            *r = rows;
+            rows += 1;
+        }
         let mut cand_rows = Vec::with_capacity(candidates.iter().map(Itemset::len).sum());
-        let cand_ends = candidates
+        let cand_ends: Vec<usize> = candidates
             .iter()
             .map(|c| {
-                cand_rows.extend(c.items().iter().map(|i| row_of[i]));
+                cand_rows.extend(c.items().iter().map(|i| row_of[i.index()]));
                 cand_rows.len()
             })
             .collect();
-        let rows = needed.len();
+        let rows = rows as usize;
         let pairs = candidates.iter().all(|c| c.len() == 2)
             && 2 * candidates.len() as u64 >= triangle(rows) as u64;
+        let groups = if pairs {
+            PrefixGroups::default()
+        } else {
+            PrefixGroups::new(&cand_rows, &cand_ends)
+        };
         Self {
-            row_of,
+            map: RowMap::new(&row_of, extension),
             cand_rows,
             cand_ends,
             rows,
             pairs,
+            groups,
         }
-    }
-
-    /// Each candidate's rows, in input order.
-    fn candidate_rows(&self) -> impl Iterator<Item = &[u32]> {
-        let mut start = 0;
-        self.cand_ends.iter().map(move |&end| {
-            let rows = &self.cand_rows[start..end];
-            start = end;
-            rows
-        })
     }
 
     /// A fresh counting unit in the layout this plan selected.
@@ -127,20 +194,20 @@ impl BitmapPlan {
     /// One worker's per-candidate partial counts (input order) and the
     /// work behind them.
     pub(crate) fn tally(&self, worker: VerticalWorker) -> Tally {
-        let mut work = 0u64;
         match worker {
-            VerticalWorker::Bits(w) => Tally {
-                partials: self
-                    .candidate_rows()
-                    .map(|rows| w.count_tracked(rows, &mut work))
-                    .collect(),
-                built: w.words_built(),
-                work,
-            },
+            VerticalWorker::Bits(w) => {
+                let (partials, work) = self.groups.count(&w.chunks, self.cand_ends.len());
+                Tally {
+                    partials,
+                    built: w.words_built(),
+                    work,
+                }
+            }
             VerticalWorker::Pairs(w) => Tally {
                 partials: self
-                    .candidate_rows()
-                    .map(|rows| w.count(rows[0], rows[1]))
+                    .cand_rows
+                    .chunks_exact(2)
+                    .map(|ab| w.count(ab[0], ab[1]))
                     .collect(),
                 built: w.cells.len() as u64,
                 work: w.increments,
@@ -218,6 +285,100 @@ fn check_cell_limit(transactions: u64) -> io::Result<()> {
     Ok(())
 }
 
+/// The AND kernel's schedule: the Bits layout's candidates sorted by
+/// size and then lexicographically by row tuple, so candidates sharing a
+/// (k−1)-prefix sit together in one group. Per chunk, a group's prefix is
+/// ANDed once and each member then costs one `AND + popcount` against its
+/// last row — Eclat's prefix-class intersection (Zaki, IEEE TKDE 2000).
+/// Empty candidates belong to no group and count 0.
+#[derive(Default)]
+struct PrefixGroups {
+    /// Every group's prefix rows, concatenated.
+    prefix_rows: Vec<u32>,
+    /// Per group: where its prefix ends in `prefix_rows` and where its
+    /// members end in `members`.
+    ends: Vec<(usize, usize)>,
+    /// `(last row, input index)` of every member, group by group.
+    members: Vec<(u32, u32)>,
+}
+
+impl PrefixGroups {
+    fn new(cand_rows: &[u32], cand_ends: &[usize]) -> Self {
+        let rows_of = |c: u32| {
+            let c = c as usize;
+            let start = if c == 0 { 0 } else { cand_ends[c - 1] };
+            &cand_rows[start..cand_ends[c]]
+        };
+        let mut order: Vec<u32> = (0..cand_ends.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (rows_of(a), rows_of(b));
+            a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+        });
+        let mut groups = Self::default();
+        let mut prefix_start = 0;
+        for c in order {
+            let Some((&last, prefix)) = rows_of(c).split_last() else {
+                continue;
+            };
+            if groups.ends.is_empty() || groups.prefix_rows[prefix_start..] != *prefix {
+                prefix_start = groups.prefix_rows.len();
+                groups.prefix_rows.extend_from_slice(prefix);
+                groups.ends.push((groups.prefix_rows.len(), 0));
+            }
+            groups.members.push((last, c));
+            if let Some(end) = groups.ends.last_mut() {
+                end.1 = groups.members.len();
+            }
+        }
+        groups
+    }
+
+    /// Per-candidate counts (input order, `candidates` long) over `chunks`,
+    /// and the words ANDed: per chunk, each group's prefix rows once plus
+    /// one row per member, `words_per_row` words each.
+    fn count(&self, chunks: &[BitmapChunk], candidates: usize) -> (Vec<u64>, u64) {
+        let mut sorted = vec![0u64; self.members.len()];
+        let mut scratch: Vec<u64> = Vec::new();
+        let mut work = 0u64;
+        for chunk in chunks {
+            let words = chunk.words_per_row();
+            scratch.resize(words, 0);
+            let (mut prefix_start, mut member_start) = (0, 0);
+            for &(prefix_end, member_end) in &self.ends {
+                let prefix = &self.prefix_rows[prefix_start..prefix_end];
+                let members = &self.members[member_start..member_end];
+                let counts = &mut sorted[member_start..member_end];
+                work += (words * (prefix.len() + members.len())) as u64;
+                let base: Option<&[u64]> = match prefix {
+                    [] => None,
+                    [only] => Some(chunk.row(*only)),
+                    [first, rest @ ..] => {
+                        scratch.copy_from_slice(chunk.row(*first));
+                        for &r in rest {
+                            and_assign(&mut scratch, chunk.row(r));
+                        }
+                        Some(&scratch)
+                    }
+                };
+                for (n, &(last, _)) in counts.iter_mut().zip(members) {
+                    let row = chunk.row(last);
+                    *n += match base {
+                        Some(base) => and_count(base, row),
+                        None => row.iter().map(|w| u64::from(w.count_ones())).sum(),
+                    };
+                }
+                prefix_start = prefix_end;
+                member_start = member_end;
+            }
+        }
+        let mut partials = vec![0u64; candidates];
+        for (&(_, c), n) in self.members.iter().zip(sorted) {
+            partials[c as usize] = n;
+        }
+        (partials, work)
+    }
+}
+
 /// One worker's counting state, in the layout its [`BitmapPlan`] chose.
 pub(crate) enum VerticalWorker {
     /// Packed presence bits; candidates answered by AND + popcount.
@@ -227,12 +388,12 @@ pub(crate) enum VerticalWorker {
 }
 
 impl VerticalWorker {
-    /// Record one mapped (strictly ascending) transaction. Items outside
-    /// the plan are ignored.
-    pub(crate) fn add(&mut self, items: &[ItemId], row_of: &FxHashMap<ItemId, u32>) {
+    /// Record one transaction (its literal items; `map` supplies the rows,
+    /// ancestors included). Items without rows are ignored.
+    pub(crate) fn add(&mut self, items: &[ItemId], map: &RowMap) {
         match self {
-            VerticalWorker::Bits(w) => w.add(items, row_of),
-            VerticalWorker::Pairs(w) => w.add(items, row_of),
+            VerticalWorker::Bits(w) => w.add(items, map),
+            VerticalWorker::Pairs(w) => w.add(items, map),
         }
     }
 }
@@ -267,10 +428,10 @@ impl BitmapWorker {
         }
     }
 
-    /// Record one mapped transaction: set the bit for every item that has
-    /// a row. Items outside the plan (not mentioned by any candidate) are
-    /// simply ignored.
-    fn add(&mut self, items: &[ItemId], row_of: &FxHashMap<ItemId, u32>) {
+    /// Record one transaction: set the bit of every row its items reach.
+    /// Two items sharing an ancestor set that row twice, which is
+    /// harmless.
+    fn add(&mut self, items: &[ItemId], map: &RowMap) {
         if self.room == 0 {
             self.chunks
                 .push(BitmapChunk::new(self.rows, DEFAULT_BLOCK_SIZE));
@@ -278,28 +439,13 @@ impl BitmapWorker {
         }
         let offset = DEFAULT_BLOCK_SIZE - self.room;
         if let Some(chunk) = self.chunks.last_mut() {
-            for item in items {
-                if let Some(&row) = row_of.get(item) {
+            for &item in items {
+                for &row in map.rows(item) {
                     chunk.set(row, offset);
                 }
             }
         }
         self.room -= 1;
-    }
-
-    /// Transactions seen by this worker containing all of `rows`, with the
-    /// words visited added to `words_anded`. An empty `rows` slice counts
-    /// 0 (the horizontal paths never report the empty itemset either).
-    fn count_tracked(&self, rows: &[u32], words_anded: &mut u64) -> u64 {
-        if rows.is_empty() {
-            return 0;
-        }
-        let mut total = 0u64;
-        for chunk in &self.chunks {
-            *words_anded += (chunk.words_per_row() * rows.len()) as u64;
-            total += chunk.count(rows);
-        }
-        total
     }
 
     /// Total `u64` words this worker's chunks hold.
@@ -317,7 +463,7 @@ pub(crate) struct PairWorker {
     cells: Vec<u32>,
     rows: usize,
     /// The current transaction's rows (reused across transactions).
-    scratch: Vec<usize>,
+    scratch: Vec<u32>,
     increments: u64,
 }
 
@@ -337,25 +483,23 @@ impl PairWorker {
         a * (2 * self.rows - a - 1) / 2
     }
 
-    /// Record one mapped transaction: bump the cell of every pair of its
-    /// planned items. The mapper contract (strictly ascending items) and
-    /// the plan's sorted row assignment make the rows strictly ascending.
-    fn add(&mut self, items: &[ItemId], row_of: &FxHashMap<ItemId, u32>) {
+    /// Record one transaction: bump the cell of every pair of the rows its
+    /// items reach, each row once (two items can share an ancestor).
+    fn add(&mut self, items: &[ItemId], map: &RowMap) {
         self.scratch.clear();
-        self.scratch.extend(
-            items
-                .iter()
-                .filter_map(|i| row_of.get(i))
-                .map(|&r| r as usize),
-        );
-        debug_assert!(self.scratch.windows(2).all(|w| w[0] < w[1]));
+        for &item in items {
+            self.scratch.extend_from_slice(map.rows(item));
+        }
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
         let m = self.scratch.len() as u64;
         self.increments += m * m.saturating_sub(1) / 2;
         for (x, &a) in self.scratch.iter().enumerate() {
+            let a = a as usize;
             let start = self.row_start(a);
             let row = &mut self.cells[start..start + (self.rows - a - 1)];
             for &b in &self.scratch[x + 1..] {
-                row[b - a - 1] += 1;
+                row[b as usize - a - 1] += 1;
             }
         }
     }
@@ -452,19 +596,29 @@ fn binomial(n: usize, k: usize) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{count_mixed_parallel, identity_sync_mapper, Parallelism, SyncMapper};
-    use negassoc_txdb::TransactionDbBuilder;
+    use crate::generalized::AncestorTable;
+    use crate::parallel::{count_mixed_parallel, Extension, Parallelism};
+    use negassoc_taxonomy::{Taxonomy, TaxonomyBuilder};
+    use negassoc_txdb::{TransactionDb, TransactionDbBuilder};
 
     fn set(v: &[u32]) -> Itemset {
         Itemset::from_unsorted(v.iter().map(|&i| ItemId(i)).collect())
     }
 
-    fn sample_db() -> negassoc_txdb::TransactionDb {
+    fn sample_db() -> TransactionDb {
         let mut b = TransactionDbBuilder::new();
         b.add([ItemId(1), ItemId(2), ItemId(3)]);
         b.add([ItemId(1), ItemId(2)]);
         b.add([ItemId(2), ItemId(3)]);
         b.add([ItemId(1), ItemId(3), ItemId(4)]);
+        b.build()
+    }
+
+    fn db_of(txs: &[&[u32]]) -> TransactionDb {
+        let mut b = TransactionDbBuilder::new();
+        for t in txs {
+            b.add(ids(t));
+        }
         b.build()
     }
 
@@ -475,22 +629,36 @@ mod tests {
 
     /// One sequential pass through the shared counting entry point.
     fn count(
-        db: &negassoc_txdb::TransactionDb,
+        db: &TransactionDb,
         candidates: Vec<Itemset>,
         backend: CountingBackend,
-        mapper: &SyncMapper<'_>,
+        extension: Extension<'_>,
     ) -> Vec<(Itemset, u64)> {
         count_mixed_parallel(
             db,
             candidates,
             backend,
-            mapper,
+            extension,
             Parallelism::Sequential,
             None,
             &Obs::disabled(),
         )
         .unwrap()
         .counts
+    }
+
+    /// Support by definition: transactions whose items, together with all
+    /// their ancestors, include every member of `cand`.
+    fn brute(db: &TransactionDb, anc: &AncestorTable, cand: &Itemset) -> u64 {
+        db.iter()
+            .filter(|t| {
+                cand.items().iter().all(|c| {
+                    t.items()
+                        .iter()
+                        .any(|&i| i == *c || anc.ancestors(i).contains(c))
+                })
+            })
+            .count() as u64
     }
 
     const BACKENDS: [CountingBackend; 2] =
@@ -507,7 +675,7 @@ mod tests {
             (set(&[3, 4]), 1),
         ];
         for backend in BACKENDS {
-            let got = count(&db, candidates.clone(), backend, &identity_sync_mapper);
+            let got = count(&db, candidates.clone(), backend, Extension::Literal);
             assert_eq!(sorted(got), expected, "{backend:?}");
         }
     }
@@ -517,7 +685,7 @@ mod tests {
         let db = sample_db();
         let candidates = vec![set(&[1]), set(&[1, 2]), set(&[1, 2, 3])];
         for backend in BACKENDS {
-            let got = count(&db, candidates.clone(), backend, &identity_sync_mapper);
+            let got = count(&db, candidates.clone(), backend, Extension::Literal);
             assert_eq!(
                 got,
                 vec![(set(&[1]), 3), (set(&[1, 2]), 2), (set(&[1, 2, 3]), 1)],
@@ -526,29 +694,100 @@ mod tests {
         }
     }
 
+    /// cat(0) → {a(1), b(2)}, x(3) a root, and z(4) a second leaf under
+    /// cat: the highest id of the taxonomy.
+    fn edge_taxonomy() -> Taxonomy {
+        let mut b = TaxonomyBuilder::new();
+        let cat = b.add_root("cat");
+        b.add_child(cat, "a").unwrap();
+        b.add_child(cat, "b").unwrap();
+        b.add_root("x");
+        b.add_child(cat, "z").unwrap();
+        b.build()
+    }
+
+    /// The extension rewrites what is counted: categories are counted only
+    /// when transactions are extended, and the two ancestor variants agree.
     #[test]
     fn mapper_can_rewrite_transactions() {
-        let db = sample_db();
-        // A mapper that drops item 3 from every transaction.
-        let mapper = |items: &[ItemId], buf: &mut Vec<ItemId>| {
-            buf.clear();
-            buf.extend(items.iter().copied().filter(|i| i.0 != 3));
-        };
+        let tax = edge_taxonomy();
+        let anc = AncestorTable::new(&tax);
+        let db = db_of(&[&[1, 3], &[1, 2], &[2, 3], &[3]]);
+        let candidates = vec![set(&[0, 3]), set(&[1, 2]), set(&[0])];
         for backend in BACKENDS {
-            let got = count(&db, vec![set(&[2, 3]), set(&[1, 2])], backend, &mapper);
-            assert_eq!(
-                got,
-                vec![(set(&[2, 3]), 0), (set(&[1, 2]), 2)],
-                "{backend:?}"
-            );
+            let literal = count(&db, candidates.clone(), backend, Extension::Literal);
+            let counts: Vec<u64> = literal.iter().map(|(_, n)| *n).collect();
+            assert_eq!(counts, vec![0, 1, 0], "{backend:?} literal");
+            for ext in [
+                Extension::AllAncestors(&anc),
+                Extension::NeededAncestors(&anc),
+            ] {
+                let got = count(&db, candidates.clone(), backend, ext);
+                let counts: Vec<u64> = got.iter().map(|(_, n)| *n).collect();
+                assert_eq!(counts, vec![2, 1, 3], "{backend:?} {ext:?}");
+            }
         }
+    }
+
+    /// A leaf no candidate mentions, with an id above every candidate's,
+    /// still counts for its planned ancestor (the row map spans the whole
+    /// taxonomy), and two leaves of one category count it once — in both
+    /// bitmap layouts, against the flat reference and brute force.
+    #[test]
+    fn row_map_covers_unmentioned_leaves_and_shared_ancestors() {
+        let tax = edge_taxonomy();
+        let anc = AncestorTable::new(&tax);
+        // z = 4 is in no candidate; 99 is outside the taxonomy.
+        let db = db_of(&[&[3, 4], &[4], &[1, 2, 3], &[1, 4, 99], &[2, 3, 4, 99], &[]]);
+        let dense = vec![set(&[0, 3])];
+        let mixed = vec![set(&[0, 3]), set(&[0]), set(&[1, 3]), set(&[0, 1, 3])];
+        for (cands, pairs) in [(dense, true), (mixed, false)] {
+            assert_eq!(
+                BitmapPlan::new(&cands, Extension::AllAncestors(&anc)).pairs,
+                pairs
+            );
+            let want: Vec<u64> = cands.iter().map(|c| brute(&db, &anc, c)).collect();
+            for ext in [
+                Extension::AllAncestors(&anc),
+                Extension::NeededAncestors(&anc),
+            ] {
+                for backend in BACKENDS {
+                    let got = count(&db, cands.clone(), backend, ext);
+                    let got: Vec<u64> = got.iter().map(|(_, n)| *n).collect();
+                    assert_eq!(got, want, "{backend:?} {ext:?} pairs={pairs}");
+                }
+            }
+        }
+        // {cat, x}: {3, 4}, {1, 2, 3} (cat once), {2, 3, 4, 99}.
+        assert_eq!(brute(&db, &anc, &set(&[0, 3])), 3);
+        // {cat}: every non-empty transaction, each once.
+        assert_eq!(brute(&db, &anc, &set(&[0])), 5);
+    }
+
+    /// A leaf's rows are its planned ancestors even when the leaf itself is
+    /// unplanned; ids past the table map to nothing.
+    #[test]
+    fn row_map_rows() {
+        let tax = edge_taxonomy();
+        let anc = AncestorTable::new(&tax);
+        let plan = BitmapPlan::new(&[set(&[0, 3]), set(&[1])], Extension::AllAncestors(&anc));
+        // Rows by ascending item: cat 0, a 1, x 2.
+        assert_eq!(plan.map.rows(ItemId(1)), &[1, 0]);
+        assert_eq!(plan.map.rows(ItemId(2)), &[0]);
+        assert_eq!(plan.map.rows(ItemId(4)), &[0]);
+        assert_eq!(plan.map.rows(ItemId(3)), &[2]);
+        assert!(plan.map.rows(ItemId(99)).is_empty());
+        let literal = BitmapPlan::new(&[set(&[0, 3]), set(&[1])], Extension::Literal);
+        assert_eq!(literal.map.rows(ItemId(1)), &[1]);
+        assert!(literal.map.rows(ItemId(2)).is_empty());
+        assert!(literal.map.rows(ItemId(4)).is_empty());
     }
 
     #[test]
     fn empty_candidates_short_circuit() {
         let db = sample_db();
         for backend in BACKENDS {
-            assert!(count(&db, Vec::new(), backend, &identity_sync_mapper).is_empty());
+            assert!(count(&db, Vec::new(), backend, Extension::Literal).is_empty());
         }
     }
 
@@ -582,12 +821,14 @@ mod tests {
         assert_eq!(binomial(52, 5), 2_598_960);
     }
 
-    fn row_of(items: &[u32]) -> FxHashMap<ItemId, u32> {
-        items
-            .iter()
-            .enumerate()
-            .map(|(r, &i)| (ItemId(i), r as u32))
-            .collect()
+    /// A literal row map over `items` (row `r` for `items[r]`, ascending).
+    fn literal_map(items: &[u32]) -> RowMap {
+        let bound = items.iter().map(|&i| i as usize + 1).max().unwrap_or(0);
+        let mut row_of = vec![NO_ROW; bound];
+        for (r, &i) in items.iter().enumerate() {
+            row_of[i as usize] = r as u32;
+        }
+        RowMap::new(&row_of, Extension::Literal)
     }
 
     fn ids(v: &[u32]) -> Vec<ItemId> {
@@ -597,24 +838,25 @@ mod tests {
     #[test]
     fn pair_worker_with_zero_and_one_rows() {
         let mut none = PairWorker::new(0);
-        none.add(&ids(&[1, 2, 3]), &row_of(&[]));
-        none.add(&[], &row_of(&[]));
+        none.add(&ids(&[1, 2, 3]), &literal_map(&[]));
+        none.add(&[], &literal_map(&[]));
         assert!(none.cells.is_empty());
         assert_eq!(none.increments, 0);
 
         let mut one = PairWorker::new(1);
-        one.add(&ids(&[1, 2, 3]), &row_of(&[2]));
+        one.add(&ids(&[1, 2, 3]), &literal_map(&[2]));
         assert!(one.cells.is_empty());
         assert_eq!(one.increments, 0);
     }
 
     #[test]
     fn pair_worker_counts_empty_transactions_and_ignores_unplanned_items() {
-        // Rows 0..4 for items 10, 20, 30, 40; items 5 and 25 are unplanned.
-        let plan = row_of(&[10, 20, 30, 40]);
+        // Rows 0..4 for items 10, 20, 30, 40; items 5, 25 and 45 are
+        // unplanned (45 past the table).
+        let plan = literal_map(&[10, 20, 30, 40]);
         let mut w = PairWorker::new(4);
         w.add(&[], &plan);
-        w.add(&ids(&[5, 10, 25, 30]), &plan);
+        w.add(&ids(&[5, 10, 25, 30, 45]), &plan);
         w.add(&ids(&[10, 20, 30, 40]), &plan);
         w.add(&ids(&[25]), &plan);
         assert_eq!(w.increments, 1 + 6);
@@ -629,72 +871,107 @@ mod tests {
     /// anything else keeps AND + popcount.
     #[test]
     fn plan_selects_pairs_only_for_dense_pair_sets() {
+        let plan = |c: &[Itemset]| BitmapPlan::new(c, Extension::Literal).pairs;
         // 4 items: triangle of 6; 3 pairs fill exactly half.
-        let half = vec![set(&[1, 2]), set(&[3, 4]), set(&[1, 4])];
-        assert!(BitmapPlan::new(&half).pairs);
+        assert!(plan(&[set(&[1, 2]), set(&[3, 4]), set(&[1, 4])]));
         // 5 items: triangle of 10; 4 pairs fall below half.
-        let sparse = vec![set(&[1, 2]), set(&[3, 4]), set(&[1, 4]), set(&[4, 5])];
-        assert!(!BitmapPlan::new(&sparse).pairs);
-        let mixed = vec![set(&[1, 2]), set(&[1, 2, 3])];
-        assert!(!BitmapPlan::new(&mixed).pairs);
-        let singles = vec![set(&[1]), set(&[2])];
-        assert!(!BitmapPlan::new(&singles).pairs);
+        assert!(!plan(&[
+            set(&[1, 2]),
+            set(&[3, 4]),
+            set(&[1, 4]),
+            set(&[4, 5])
+        ]));
+        assert!(!plan(&[set(&[1, 2]), set(&[1, 2, 3])]));
+        assert!(!plan(&[set(&[1]), set(&[2])]));
     }
 
-    /// Both sides of the half-triangle rule count exactly, with the
-    /// mapper surfacing ancestors: category 100 over items 1 and 2,
-    /// category 200 over 3 and 4. Transactions hold item–ancestor pairs
-    /// ({1, 100}, …) that the candidates omit, as pruned at L2.
+    /// Candidates sharing a (k−1)-prefix form one group, sizes never mix,
+    /// and the kernel's work is the prefix rows once per group plus one row
+    /// per candidate, per chunk.
+    #[test]
+    fn prefix_groups_share_prefixes() {
+        let cands = vec![
+            set(&[1, 2, 4]),
+            set(&[1, 2]),
+            set(&[1, 2, 3]),
+            set(&[5]),
+            set(&[1, 3]),
+            set(&[2]),
+            set(&[1, 2, 3]),
+        ];
+        let plan = BitmapPlan::new(&cands, Extension::Literal);
+        // Rows: 1→0, 2→1, 3→2, 4→3, 5→4.
+        let g = &plan.groups;
+        assert_eq!(g.prefix_rows, vec![0, 0, 1]);
+        assert_eq!(g.ends, vec![(0, 2), (1, 4), (3, 7)]);
+        let members: Vec<u32> = g.members.iter().map(|&(_, c)| c).collect();
+        assert_eq!(&members[..4], &[5, 3, 1, 4]);
+        let db = db_of(&[&[1, 2, 3], &[1, 2, 3, 4], &[2, 5], &[1, 3]]);
+        let mut w = BitmapWorker::new(plan.rows);
+        for t in db.iter() {
+            w.add(t.items(), &plan.map);
+        }
+        let (partials, work) = g.count(&w.chunks, cands.len());
+        assert_eq!(partials, vec![1, 2, 2, 1, 3, 3, 2]);
+        assert_eq!(work, 16 * (3 + 7));
+    }
+
+    /// Both sides of the half-triangle rule count exactly, with ancestors
+    /// surfaced by the taxonomy: c1 over a and b, c2 over c and d.
+    /// Transactions hold item–ancestor pairs that the candidates omit, as
+    /// pruned at L2, and an id outside the taxonomy.
     #[test]
     fn pair_path_matches_reference_on_both_sides_of_the_rule() {
-        let parent = |i: u32| match i {
-            1 | 2 => Some(100),
-            3 | 4 => Some(200),
-            _ => None,
-        };
-        let mapper = |items: &[ItemId], buf: &mut Vec<ItemId>| {
-            buf.clear();
-            buf.extend_from_slice(items);
-            buf.extend(items.iter().filter_map(|i| parent(i.0)).map(ItemId));
-            buf.sort_unstable();
-            buf.dedup();
-        };
-        let mut b = TransactionDbBuilder::new();
+        let mut tb = TaxonomyBuilder::new();
+        let c1 = tb.add_root("c1");
+        let a = tb.add_child(c1, "a").unwrap();
+        let b = tb.add_child(c1, "b").unwrap();
+        let c2 = tb.add_root("c2");
+        let c = tb.add_child(c2, "c").unwrap();
+        let d = tb.add_child(c2, "d").unwrap();
+        let tax = tb.build();
+        let anc = AncestorTable::new(&tax);
+        let outside = ItemId(9);
+        let mut db = TransactionDbBuilder::new();
         for t in [
-            &[1, 3][..],
-            &[1, 2, 4],
-            &[2],
-            &[],
-            &[3, 4, 9],
-            &[1, 4],
-            &[1, 2, 3, 4],
+            vec![a, c],
+            vec![a, b, d],
+            vec![b],
+            vec![],
+            vec![c, d, outside],
+            vec![a, d],
+            vec![a, b, c, d],
         ] {
-            b.add(ids(t));
+            db.add(t);
         }
-        let db = b.build();
-        let items = [1, 2, 3, 4, 100, 200];
-        let related = |a: u32, b: u32| parent(a) == Some(b) || parent(b) == Some(a);
+        let db = db.build();
+        let items = [a, b, c, d, c1, c2];
+        let pair = |x: ItemId, y: ItemId| Itemset::from_unsorted(vec![x, y]);
         let all: Vec<Itemset> = items
             .iter()
             .enumerate()
-            .flat_map(|(x, &a)| items[x + 1..].iter().map(move |&b| (a, b)))
-            .filter(|&(a, b)| !related(a, b))
-            .map(|(a, b)| set(&[a, b]))
+            .flat_map(|(x, &p)| items[x + 1..].iter().map(move |&q| (p, q)))
+            .filter(|&(p, q)| !anc.is_ancestor(p, q) && !anc.is_ancestor(q, p))
+            .map(|(p, q)| pair(p, q))
             .collect();
         // Over all 6 rows (triangle 15): 7 pairs are sparse, 8 are dense.
         assert_eq!(all.len(), 11);
-        let sparse: Vec<Itemset> = [(1, 2), (3, 4), (100, 200), (1, 3), (2, 4), (1, 200), (2, 3)]
+        let sparse: Vec<Itemset> = [(a, b), (c, d), (c1, c2), (a, c), (b, d), (a, c2), (b, c)]
             .iter()
-            .map(|&(a, b)| set(&[a, b]))
+            .map(|&(p, q)| pair(p, q))
             .collect();
         let mut dense8 = sparse.clone();
-        dense8.push(set(&[1, 4]));
+        dense8.push(pair(a, d));
         for (cands, dense) in [(all, true), (dense8, true), (sparse, false)] {
             let n = cands.len();
-            assert_eq!(BitmapPlan::new(&cands).pairs, dense, "{n} pairs");
-            let want = count(&db, cands.clone(), CountingBackend::SubsetHashMap, &mapper);
-            let got = count(&db, cands, CountingBackend::TidBitmap, &mapper);
+            let ext = Extension::AllAncestors(&anc);
+            assert_eq!(BitmapPlan::new(&cands, ext).pairs, dense, "{n} pairs");
+            let want = count(&db, cands.clone(), CountingBackend::SubsetHashMap, ext);
+            let got = count(&db, cands.clone(), CountingBackend::TidBitmap, ext);
             assert_eq!(got, want, "{n} pairs");
+            for (c, n) in &got {
+                assert_eq!(*n, brute(&db, &anc, c), "{c:?}");
+            }
         }
     }
 
@@ -715,7 +992,7 @@ mod tests {
             &db,
             candidates.clone(),
             CountingBackend::TidBitmap,
-            &identity_sync_mapper,
+            Extension::Literal,
         );
         assert_eq!(
             got,
@@ -730,7 +1007,7 @@ mod tests {
             &db,
             candidates,
             CountingBackend::SubsetHashMap,
-            &identity_sync_mapper,
+            Extension::Literal,
         );
         assert_eq!(got, reference);
     }

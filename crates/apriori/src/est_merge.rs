@@ -15,7 +15,7 @@ use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
 use crate::generalized::{extend_full, prune_ancestor_pairs, AncestorTable};
 use crate::itemset::{Itemset, LargeItemsets};
-use crate::parallel::{count_mixed_parallel, CancelToken, Obs, Parallelism, PassStats};
+use crate::parallel::{count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassStats};
 use crate::MinSupport;
 use negassoc_taxonomy::fxhash::FxHashSet;
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -186,13 +186,11 @@ pub fn est_merge<S: TransactionSource + ?Sized>(
                 candidates: batch_size,
             });
             let pass_started = std::time::Instant::now();
-            let mapper =
-                |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, &ancestors, out);
             let run = count_mixed_parallel(
                 source,
                 std::mem::take(&mut batch),
                 backend,
-                &mapper,
+                Extension::AllAncestors(&ancestors),
                 parallelism,
                 ctrl,
                 obs,
@@ -279,12 +277,11 @@ fn split_by_estimate(
         stats.counted_immediately += candidates.len() as u64;
         return Ok((candidates, Vec::new()));
     }
-    let mapper = |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, ancestors, out);
     let counted = count_mixed_parallel(
         sample,
         candidates,
         backend,
-        &mapper,
+        Extension::AllAncestors(ancestors),
         Parallelism::Sequential,
         None,
         &Obs::disabled(),

@@ -11,6 +11,12 @@
 //! dropped at level 2 without affecting any other large itemset (downward
 //! closure removes their supersets automatically). This also makes the three
 //! algorithms' outputs identical, which the cross-algorithm tests pin down.
+//!
+//! [`extend_full`] and [`extend_filtered`] are the flat reference
+//! backend's transaction extension. The bitmap backend does not call them:
+//! Cumulate's optimizations (precomputed ancestors, only the ancestors a
+//! candidate needs) are its per-pass `RowMap`, a
+//! dense item → rows lookup table instead of a hash-set filter.
 
 use crate::itemset::Itemset;
 use negassoc_taxonomy::fxhash::FxHashSet;
@@ -28,6 +34,12 @@ impl AncestorTable {
     pub fn new(tax: &Taxonomy) -> Self {
         let table = tax.items().map(|i| tax.ancestors(i).collect()).collect();
         Self { table }
+    }
+
+    /// Number of items the table covers (every item of the taxonomy).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.table.len()
     }
 
     /// Proper ancestors of `item`, nearest first. Items outside the

@@ -8,12 +8,10 @@
 
 use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
-use crate::generalized::{
-    extend_filtered, extend_full, items_of_candidates, prune_ancestor_pairs, AncestorTable,
-};
+use crate::generalized::{prune_ancestor_pairs, AncestorTable};
 use crate::itemset::{Itemset, LargeItemsets};
 use crate::parallel::{
-    count_items_parallel, count_mixed_parallel, CancelToken, Obs, Parallelism, PassStats,
+    count_items_parallel, count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassStats,
 };
 use crate::MinSupport;
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -132,9 +130,14 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             label: "L1".to_string(),
             candidates: tax.len(),
         });
-        let mapper = |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, &ancestors, out);
-        let (counts, num_transactions) =
-            count_items_parallel(source, tax.len(), &mapper, parallelism, ctrl, obs)?;
+        let (counts, num_transactions) = count_items_parallel(
+            source,
+            tax.len(),
+            Extension::AllAncestors(&ancestors),
+            parallelism,
+            ctrl,
+            obs,
+        )?;
         let pass_stats = vec![PassStats {
             pass: 1,
             label: "L1".to_string(),
@@ -326,38 +329,19 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             label: format!("L{k}"),
             candidates: candidates.len(),
         });
-        let run = match self.strategy {
-            GenStrategy::Basic => {
-                let ancestors = &self.ancestors;
-                let mapper =
-                    |items: &[ItemId], out: &mut Vec<ItemId>| extend_full(items, ancestors, out);
-                count_mixed_parallel(
-                    self.source,
-                    candidates,
-                    self.backend,
-                    &mapper,
-                    self.parallelism,
-                    self.ctrl,
-                    &self.obs,
-                )?
-            }
-            GenStrategy::Cumulate => {
-                let needed = items_of_candidates(&candidates);
-                let ancestors = &self.ancestors;
-                let mapper = |items: &[ItemId], out: &mut Vec<ItemId>| {
-                    extend_filtered(items, ancestors, &needed, out)
-                };
-                count_mixed_parallel(
-                    self.source,
-                    candidates,
-                    self.backend,
-                    &mapper,
-                    self.parallelism,
-                    self.ctrl,
-                    &self.obs,
-                )?
-            }
+        let extension = match self.strategy {
+            GenStrategy::Basic => Extension::AllAncestors(&self.ancestors),
+            GenStrategy::Cumulate => Extension::NeededAncestors(&self.ancestors),
         };
+        let run = count_mixed_parallel(
+            self.source,
+            candidates,
+            self.backend,
+            extension,
+            self.parallelism,
+            self.ctrl,
+            &self.obs,
+        )?;
         let stats = PassStats {
             pass: self.pass_stats.len() as u64 + 1,
             label: format!("L{k}"),

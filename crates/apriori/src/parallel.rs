@@ -6,9 +6,12 @@
 //! stream *any* [`TransactionSource`] — in-memory or file-backed — through
 //! [`negassoc_txdb::block::parallel_pass`]: the caller's thread slices the
 //! single pass into fixed-size blocks, a pool of `std::thread::scope`
-//! workers counts them with private bitmap or hash-map structures and
-//! mapper buffers (no locks on the hot path), and per-candidate counts are
-//! merged additively at the end. With [`Parallelism::Sequential`] the same
+//! workers counts them with private bitmap or hash-map structures (no
+//! locks on the hot path), and per-candidate counts are merged additively
+//! at the end. The caller names the taxonomy extension as an
+//! [`Extension`]; under the bitmap backend Cumulate's "needed ancestors"
+//! filter is the per-pass `RowMap`, a dense table
+//! lookup with no hashing. With [`Parallelism::Sequential`] the same
 //! cycle runs inline on the caller, with no thread, channel or lock.
 //!
 //! Counts are **exact**: blocks partition the pass, so per-worker tallies
@@ -19,7 +22,8 @@
 //! the same pass produce identical `(candidate, count)` sequences, which
 //! is the foundation of the pipeline's byte-identical-output contract.
 
-use crate::count::{items_of, BitmapPlan, Counter, CountingBackend};
+use crate::count::{BitmapPlan, Counter, CountingBackend};
+use crate::generalized::{extend_filtered, extend_full, items_of_candidates, AncestorTable};
 use crate::itemset::Itemset;
 use negassoc_taxonomy::fxhash::{FxHashMap, FxHashSet};
 use negassoc_taxonomy::ItemId;
@@ -31,15 +35,33 @@ pub use negassoc_txdb::block::Parallelism;
 pub use negassoc_txdb::ctrl::CancelToken;
 pub use negassoc_txdb::obs::{Obs, PassStats};
 
-/// A transaction mapper shareable across counting workers: transforms a
-/// transaction's items into the counting buffer, e.g. taxonomy-ancestor
-/// extension. Must leave the buffer strictly ascending.
-pub type SyncMapper<'a> = dyn Fn(&[ItemId], &mut Vec<ItemId>) + Sync + 'a;
+/// How a counting pass extends each transaction before counting it.
+///
+/// The bitmap backend turns either ancestor variant into the same
+/// per-pass `RowMap` (rows no candidate mentions
+/// are dropped either way); the flat [`CountingBackend::SubsetHashMap`]
+/// reference walks the [`AncestorTable`] per transaction with
+/// [`extend_full`] or [`extend_filtered`].
+#[derive(Clone, Copy, Debug)]
+pub enum Extension<'a> {
+    /// The literal transaction items (flat Apriori, taxonomy-less Partition).
+    Literal,
+    /// Every item plus all of its ancestors (Basic, EstMerge).
+    AllAncestors(&'a AncestorTable),
+    /// Only the items and ancestors some candidate mentions: Cumulate's
+    /// filtered extension (Cumulate, the negative pass, Partition's
+    /// verify pass).
+    NeededAncestors(&'a AncestorTable),
+}
 
-/// The identity [`SyncMapper`]: count over the literal transaction items.
-pub fn identity_sync_mapper(items: &[ItemId], buf: &mut Vec<ItemId>) {
-    buf.clear();
-    buf.extend_from_slice(items);
+impl<'a> Extension<'a> {
+    /// The ancestor table, unless the pass counts literal items.
+    pub(crate) fn ancestors(self) -> Option<&'a AncestorTable> {
+        match self {
+            Extension::Literal => None,
+            Extension::AllAncestors(a) | Extension::NeededAncestors(a) => Some(a),
+        }
+    }
 }
 
 /// What one counting pass did: the exact counts plus the telemetry the
@@ -77,7 +99,7 @@ pub fn count_mixed_parallel<S: TransactionSource + ?Sized>(
     source: &S,
     candidates: Vec<Itemset>,
     backend: CountingBackend,
-    mapper: &SyncMapper<'_>,
+    extension: Extension<'_>,
     parallelism: Parallelism,
     ctrl: Option<&CancelToken>,
     obs: &Obs,
@@ -91,8 +113,13 @@ pub fn count_mixed_parallel<S: TransactionSource + ?Sized>(
         });
     }
     if backend == CountingBackend::TidBitmap {
-        return count_mixed_parallel_bitmap(source, candidates, mapper, threads, ctrl, obs);
+        return count_mixed_parallel_bitmap(source, candidates, extension, threads, ctrl, obs);
     }
+    // Cumulate's filter: the items and ancestors any candidate mentions.
+    let needed = match extension {
+        Extension::NeededAncestors(_) => items_of_candidates(&candidates),
+        _ => FxHashSet::default(),
+    };
 
     // Group by size once; workers clone the per-size candidate lists to
     // build their private counting structures. Each size gets its own item
@@ -107,7 +134,7 @@ pub fn count_mixed_parallel<S: TransactionSource + ?Sized>(
         .into_iter()
         .filter(|(k, _)| *k > 0)
         .map(|(k, cands)| {
-            let needed = items_of(&cands);
+            let needed = items_of_candidates(&cands);
             (k, cands, needed)
         })
         .collect();
@@ -139,10 +166,19 @@ pub fn count_mixed_parallel<S: TransactionSource + ?Sized>(
         },
         |w, block| {
             for t in block.iter() {
-                mapper(t.items(), &mut w.buf);
+                match extension {
+                    Extension::Literal => {
+                        w.buf.clear();
+                        w.buf.extend_from_slice(t.items());
+                    }
+                    Extension::AllAncestors(a) => extend_full(t.items(), a, &mut w.buf),
+                    Extension::NeededAncestors(a) => {
+                        extend_filtered(t.items(), a, &needed, &mut w.buf)
+                    }
+                }
                 for (counter, (_, _, needed)) in w.counters.iter_mut().zip(groups.iter()) {
                     if single {
-                        // One size: the caller's mapper already filtered.
+                        // One size: nothing to filter beyond the extension.
                         counter.count(&w.buf);
                     } else {
                         w.scratch.clear();
@@ -189,27 +225,30 @@ pub fn count_mixed_parallel<S: TransactionSource + ?Sized>(
 }
 
 /// The TID-bitmap arm of [`count_mixed_parallel`]: build and count in
-/// the *same* single pass. Each worker fills a private
+/// the *same* single pass. The [`BitmapPlan`] resolves every transaction
+/// item to its rows through one dense [`RowMap`] (the item's own row and
+/// its planned ancestors' rows, no hashing). Each worker fills a private
 /// [`VerticalWorker`] from the transactions it is dealt — packed
-/// [`BitmapChunk`] row-ranges (one bit slot per transaction, rows only for
-/// items the candidates mention) answered by word-wise AND + popcount, or,
-/// when the plan picks it, a triangular pair matrix read cell by cell —
-/// then reports per-candidate partials. Workers cover disjoint transaction
-/// slices, so the partials merge by plain `u64` addition and the result is
-/// exact and identical to the hash-map backend for every thread count.
+/// [`BitmapChunk`] row-ranges (one bit slot per transaction) answered by
+/// the chunk-outer prefix-shared AND kernel, or, when the plan picks it, a
+/// triangular pair matrix read cell by cell — then reports per-candidate
+/// partials. Workers cover disjoint transaction slices, so the partials
+/// merge by plain `u64` addition and the result is exact and identical to
+/// the hash-map backend for every thread count.
 ///
 /// [`BitmapChunk`]: negassoc_txdb::vertical::BitmapChunk
+/// [`RowMap`]: crate::count::RowMap
 /// [`VerticalWorker`]: crate::count::VerticalWorker
 // negassoc-lint: allow(L010) -- parallel_pass polls at block boundaries; the loops here are plan setup, worker-closure counting over dispatched blocks, and the in-memory partial-count merge
 fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
     source: &S,
     candidates: Vec<Itemset>,
-    mapper: &SyncMapper<'_>,
+    extension: Extension<'_>,
     threads: usize,
     ctrl: Option<&CancelToken>,
     obs: &Obs,
 ) -> io::Result<PassRun> {
-    let plan = BitmapPlan::new(&candidates);
+    let plan = BitmapPlan::new(&candidates, extension);
     let plan = &plan;
 
     let (parts, transactions) = parallel_pass(
@@ -218,14 +257,13 @@ fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
         DEFAULT_BLOCK_SIZE,
         ctrl,
         obs,
-        || (plan.worker(), Vec::<ItemId>::new()),
-        |(w, buf), block| {
+        || plan.worker(),
+        |w, block| {
             for t in block.iter() {
-                mapper(t.items(), buf);
-                w.add(buf, &plan.row_of);
+                w.add(t.items(), &plan.map);
             }
         },
-        |(w, _)| plan.tally(w),
+        |w| plan.tally(w),
     )?;
     let totals = plan.merge(parts, transactions, obs)?;
     let counts: Vec<(Itemset, u64)> = candidates.into_iter().zip(totals).collect();
@@ -239,37 +277,68 @@ fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
 /// The level-1 pass: per-item supports over one (possibly parallel) scan.
 ///
 /// Returns `counts[i]` = support of `ItemId(i)` for `i < num_items`
-/// (mapped items at or above `num_items` are ignored), plus the number of
-/// transactions scanned. Cancellation and observability as in
-/// [`count_mixed_parallel`].
+/// (items at or above `num_items` are ignored), plus the number of
+/// transactions scanned. Under either ancestor [`Extension`] every item
+/// also counts for each of its ancestors — at level 1 every item is a
+/// candidate, so the two variants agree. A transaction counts once per
+/// item however many of its members share an ancestor: each worker stamps
+/// an item with the worker-local sequence number of the last transaction
+/// that counted it, instead of sorting and deduplicating an extended copy.
+/// Cancellation and observability as in [`count_mixed_parallel`].
 // negassoc-lint: allow(L010) -- parallel_pass polls at block boundaries; the worker closure counts one dispatched block and the merge loop is in-memory
 pub fn count_items_parallel<S: TransactionSource + ?Sized>(
     source: &S,
     num_items: usize,
-    mapper: &SyncMapper<'_>,
+    extension: Extension<'_>,
     parallelism: Parallelism,
     ctrl: Option<&CancelToken>,
     obs: &Obs,
 ) -> io::Result<(Vec<u64>, u64)> {
+    struct ItemTally {
+        counts: Vec<u64>,
+        /// Per item, the sequence number of the last transaction that
+        /// counted it (0: none yet).
+        seen: Vec<u64>,
+        /// Transactions this worker has scanned.
+        seq: u64,
+    }
+    impl ItemTally {
+        #[inline]
+        fn bump(&mut self, item: ItemId) {
+            if let Some(seen) = self.seen.get_mut(item.index()) {
+                if *seen != self.seq {
+                    *seen = self.seq;
+                    self.counts[item.index()] += 1;
+                }
+            }
+        }
+    }
+
     let threads = parallelism.resolve();
+    let ancestors = extension.ancestors();
     let (parts, transactions) = parallel_pass(
         source,
         threads,
         DEFAULT_BLOCK_SIZE,
         ctrl,
         obs,
-        || (vec![0u64; num_items], Vec::<ItemId>::new()),
-        |(counts, buf), block| {
+        || ItemTally {
+            counts: vec![0; num_items],
+            seen: vec![0; num_items],
+            seq: 0,
+        },
+        |w, block| {
             for t in block.iter() {
-                mapper(t.items(), buf);
-                for &it in buf.iter() {
-                    if let Some(c) = counts.get_mut(it.index()) {
-                        *c += 1;
+                w.seq += 1;
+                for &it in t.items() {
+                    w.bump(it);
+                    for &anc in ancestors.map_or(&[][..], |a| a.ancestors(it)) {
+                        w.bump(anc);
                     }
                 }
             }
         },
-        |(counts, _)| counts,
+        |w| w.counts,
     )?;
     let mut merged = vec![0u64; num_items];
     for part in parts {
@@ -283,6 +352,7 @@ pub fn count_items_parallel<S: TransactionSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use negassoc_taxonomy::{Taxonomy, TaxonomyBuilder};
     use negassoc_txdb::{TransactionDb, TransactionDbBuilder};
 
     fn set(v: &[u32]) -> Itemset {
@@ -307,14 +377,14 @@ mod tests {
         source: &S,
         candidates: Vec<Itemset>,
         backend: CountingBackend,
-        mapper: &SyncMapper<'_>,
+        extension: Extension<'_>,
         parallelism: Parallelism,
     ) -> PassRun {
         count_mixed_parallel(
             source,
             candidates,
             backend,
-            mapper,
+            extension,
             parallelism,
             None,
             &Obs::disabled(),
@@ -336,7 +406,7 @@ mod tests {
             &db,
             candidates.clone(),
             CountingBackend::SubsetHashMap,
-            &identity_sync_mapper,
+            Extension::Literal,
             Parallelism::Sequential,
         )
         .counts;
@@ -353,7 +423,7 @@ mod tests {
                     &db,
                     candidates.clone(),
                     backend,
-                    &identity_sync_mapper,
+                    Extension::Literal,
                     parallelism,
                 );
                 assert_eq!(run.transactions, 500);
@@ -374,7 +444,7 @@ mod tests {
                 &db,
                 candidates.clone(),
                 backend,
-                &identity_sync_mapper,
+                Extension::Literal,
                 Parallelism::Threads(3),
             );
             assert_eq!(run.counts.len(), 3);
@@ -396,7 +466,7 @@ mod tests {
                 &pc,
                 Vec::new(),
                 backend,
-                &identity_sync_mapper,
+                Extension::Literal,
                 Parallelism::Threads(4),
             );
             assert!(run.counts.is_empty());
@@ -418,7 +488,7 @@ mod tests {
             count_items_parallel(
                 &db,
                 num_items,
-                &identity_sync_mapper,
+                Extension::Literal,
                 parallelism,
                 None,
                 &Obs::disabled(),
@@ -435,37 +505,100 @@ mod tests {
         assert_eq!(short, expect[..3]);
     }
 
-    /// A mapper that extends transactions (the taxonomy case) behaves
-    /// identically across thread counts.
+    /// cat(0) over every item of [`sample_db`] (1..=14, 0 also appears
+    /// literally), plus z(15), a leaf of cat the data never holds.
+    fn cat_taxonomy() -> Taxonomy {
+        let mut b = TaxonomyBuilder::new();
+        let cat = b.add_root("cat");
+        for i in 1..=15 {
+            b.add_child(cat, &format!("item{i}")).unwrap();
+        }
+        b.build()
+    }
+
+    /// Taxonomy extension behaves identically across thread counts,
+    /// backends and both ancestor variants.
     #[test]
     fn extending_mapper_is_deterministic() {
         let db = sample_db(200);
-        // Map every item onto itself plus a synthetic "category" 20.
-        let extend = |items: &[ItemId], buf: &mut Vec<ItemId>| {
-            buf.clear();
-            buf.extend_from_slice(items);
-            buf.push(ItemId(20));
+        let tax = cat_taxonomy();
+        let anc = AncestorTable::new(&tax);
+        let candidates = || {
+            vec![
+                set(&[0]),
+                set(&[0, 7]),
+                set(&[1, 12]),
+                set(&[7, 13]),
+                set(&[0, 1, 12]),
+                set(&[15]),
+            ]
         };
-        let candidates = || vec![set(&[20]), set(&[0, 20])];
         let baseline = run(
             &db,
             candidates(),
             CountingBackend::SubsetHashMap,
-            &extend,
+            Extension::AllAncestors(&anc),
             Parallelism::Sequential,
         );
-        for backend in BACKENDS {
-            for threads in [2, 4] {
-                let run = run(
-                    &db,
-                    candidates(),
-                    backend,
-                    &extend,
-                    Parallelism::Threads(threads),
-                );
-                assert_eq!(run.counts, baseline.counts, "{backend:?} x{threads}");
+        for ext in [
+            Extension::AllAncestors(&anc),
+            Extension::NeededAncestors(&anc),
+        ] {
+            for backend in BACKENDS {
+                for threads in [2, 4] {
+                    let run = run(
+                        &db,
+                        candidates(),
+                        backend,
+                        ext,
+                        Parallelism::Threads(threads),
+                    );
+                    assert_eq!(
+                        run.counts, baseline.counts,
+                        "{backend:?} {ext:?} x{threads}"
+                    );
+                }
             }
         }
+        // Every transaction holds a descendant of cat (or cat itself).
         assert_eq!(baseline.counts[0].1, 200);
+        assert_eq!(baseline.counts[5].1, 0);
+    }
+
+    /// The level-1 stamp tally counts a category once per transaction
+    /// however many of its leaves (or itself) the transaction holds, and
+    /// ignores ids outside the taxonomy — exactly like extending each
+    /// transaction and deduplicating.
+    #[test]
+    fn item_counting_counts_each_ancestor_once() {
+        let mut b = TransactionDbBuilder::new();
+        for t in [&[1u32, 2][..], &[0, 1, 2, 3], &[15, 40], &[], &[3, 99]] {
+            b.add(t.iter().map(|&i| ItemId(i)));
+        }
+        let db = b.build();
+        let tax = cat_taxonomy();
+        let anc = AncestorTable::new(&tax);
+        let mut expect = vec![0u64; tax.len()];
+        let mut buf = Vec::new();
+        for t in db.iter() {
+            extend_full(t.items(), &anc, &mut buf);
+            for it in buf.iter().filter(|i| i.index() < tax.len()) {
+                expect[it.index()] += 1;
+            }
+        }
+        assert_eq!(expect[0], 4);
+        assert_eq!(expect[1], 2);
+        for ext in [
+            Extension::AllAncestors(&anc),
+            Extension::NeededAncestors(&anc),
+        ] {
+            for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                let (got, transactions) =
+                    count_items_parallel(&db, tax.len(), ext, parallelism, None, &Obs::disabled())
+                        .unwrap();
+                assert_eq!(got, expect, "{ext:?} {parallelism:?}");
+                assert_eq!(transactions, 5);
+            }
+        }
     }
 }

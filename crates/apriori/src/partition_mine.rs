@@ -21,13 +21,9 @@
 
 use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
-use crate::generalized::{
-    extend_filtered, items_of_candidates, prune_ancestor_pairs, AncestorTable,
-};
+use crate::generalized::{prune_ancestor_pairs, AncestorTable};
 use crate::itemset::{Itemset, LargeItemsets};
-use crate::parallel::{
-    count_mixed_parallel, identity_sync_mapper, CancelToken, Obs, Parallelism, PassStats,
-};
+use crate::parallel::{count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassStats};
 use crate::MinSupport;
 use negassoc_taxonomy::fxhash::FxHashSet;
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -217,23 +213,16 @@ fn verify_candidates<S: TransactionSource + ?Sized>(
         candidates: verify_size,
     });
     let verify_started = std::time::Instant::now();
-    let counted = match ancestors {
-        Some(anc) => {
-            let needed = items_of_candidates(&candidates);
-            let mapper =
-                |items: &[ItemId], out: &mut Vec<ItemId>| extend_filtered(items, anc, &needed, out);
-            count_mixed_parallel(source, candidates, backend, &mapper, parallelism, ctrl, obs)?
-        }
-        None => count_mixed_parallel(
-            source,
-            candidates,
-            backend,
-            &identity_sync_mapper,
-            parallelism,
-            ctrl,
-            obs,
-        )?,
-    };
+    let extension = ancestors.map_or(Extension::Literal, Extension::NeededAncestors);
+    let counted = count_mixed_parallel(
+        source,
+        candidates,
+        backend,
+        extension,
+        parallelism,
+        ctrl,
+        obs,
+    )?;
     obs.emit(|| Event::PassEnd {
         stats: PassStats {
             pass: 2,

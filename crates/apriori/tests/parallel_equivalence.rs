@@ -4,7 +4,7 @@
 //! subset-hash-map counts, in the same candidate order.
 
 use negassoc_apriori::count::CountingBackend;
-use negassoc_apriori::parallel::{count_mixed_parallel, identity_sync_mapper, Obs, Parallelism};
+use negassoc_apriori::parallel::{count_mixed_parallel, Extension, Obs, Parallelism};
 use negassoc_apriori::{basic::basic, Itemset, MinSupport};
 use negassoc_taxonomy::{ItemId, Taxonomy, TaxonomyBuilder};
 use negassoc_txdb::fault::{FaultPlan, FaultySource, RetryPolicy, RetryingSource};
@@ -62,7 +62,7 @@ fn count<S: negassoc_txdb::TransactionSource + ?Sized>(
         source,
         candidates.to_vec(),
         backend,
-        &identity_sync_mapper,
+        Extension::Literal,
         parallelism,
         None,
         &Obs::disabled(),

@@ -2,7 +2,7 @@
 
 use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::est_merge::{est_merge, EstMergeConfig};
-use negassoc_apriori::parallel::{count_mixed_parallel, identity_sync_mapper, Obs, Parallelism};
+use negassoc_apriori::parallel::{count_mixed_parallel, Extension, Obs, Parallelism};
 use negassoc_apriori::{apriori::apriori, basic::basic, cumulate::cumulate};
 use negassoc_apriori::{Itemset, MinSupport};
 use negassoc_taxonomy::{ItemId, Taxonomy, TaxonomyBuilder};
@@ -66,7 +66,7 @@ proptest! {
                 &db,
                 sized.clone(),
                 backend,
-                &identity_sync_mapper,
+                Extension::Literal,
                 Parallelism::Sequential,
                 None,
                 &Obs::disabled(),
@@ -147,7 +147,7 @@ proptest! {
             &db,
             candidates.clone(),
             CountingBackend::SubsetHashMap,
-            &identity_sync_mapper,
+            Extension::Literal,
             Parallelism::Sequential,
             None,
             &Obs::disabled(),
@@ -159,7 +159,7 @@ proptest! {
                 &db,
                 candidates.clone(),
                 backend,
-                &identity_sync_mapper,
+                Extension::Literal,
                 Parallelism::Threads(threads),
                 None,
                 &Obs::disabled(),

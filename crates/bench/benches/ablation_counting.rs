@@ -8,7 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::cumulate::cumulate;
-use negassoc_apriori::parallel::{count_mixed_parallel, identity_sync_mapper, Obs, Parallelism};
+use negassoc_apriori::generalized::AncestorTable;
+use negassoc_apriori::parallel::{count_mixed_parallel, Extension, Obs, Parallelism};
 use negassoc_apriori::{Itemset, MinSupport};
 use negassoc_bench::short_dataset;
 use std::hint::black_box;
@@ -45,9 +46,10 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // One pass over a fixed candidate set of every size (identity mapper:
-    // flat candidate counting; taxonomy extension per thread is exercised
-    // by the positive-miner variants above).
+    // One pass over a fixed candidate set of every size, extended with the
+    // ancestors the candidates need (as Cumulate and the negative pass
+    // count).
+    let ancestors = AncestorTable::new(&ds.taxonomy);
     let large = cumulate(
         &ds.db,
         &ds.taxonomy,
@@ -70,7 +72,7 @@ fn bench(c: &mut Criterion) {
                             &ds.db,
                             candidates.clone(),
                             backend,
-                            &identity_sync_mapper,
+                            Extension::NeededAncestors(&ancestors),
                             Parallelism::Threads(threads),
                             None,
                             &Obs::disabled(),

@@ -6,11 +6,12 @@ use crate::candidates::{Derivation, NegativeCandidate, NegativeItemset};
 use crate::error::Error;
 use crate::expected::is_negative;
 use negassoc_apriori::count::CountingBackend;
-use negassoc_apriori::generalized::{extend_filtered, items_of_candidates, AncestorTable};
-use negassoc_apriori::parallel::{count_mixed_parallel, CancelToken, Obs, Parallelism, PassStats};
+use negassoc_apriori::generalized::AncestorTable;
+use negassoc_apriori::parallel::{
+    count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassStats,
+};
 use negassoc_apriori::Itemset;
 use negassoc_taxonomy::fxhash::FxHashMap;
-use negassoc_taxonomy::ItemId;
 use negassoc_txdb::obs::{metric, Event};
 use negassoc_txdb::TransactionSource;
 use std::time::Instant;
@@ -116,11 +117,16 @@ fn count_chunk<S: TransactionSource + ?Sized>(
     }
     // Candidates may contain categories; transactions must be extended with
     // exactly the ancestors the candidates can use (the Cumulate filter).
-    let needed = items_of_candidates(&itemsets);
-    let mapper =
-        |items: &[ItemId], out: &mut Vec<ItemId>| extend_filtered(items, ancestors, &needed, out);
-    let run = count_mixed_parallel(source, itemsets, backend, &mapper, parallelism, ctrl, obs)
-        .map_err(Error::Io)?;
+    let run = count_mixed_parallel(
+        source,
+        itemsets,
+        backend,
+        Extension::NeededAncestors(ancestors),
+        parallelism,
+        ctrl,
+        obs,
+    )
+    .map_err(Error::Io)?;
     for (set, actual) in run.counts {
         // Every counted set was registered above; a miss means the counting
         // backend fabricated an itemset, and skipping it is the only output

@@ -75,7 +75,6 @@ impl SnapshotCell {
     /// A cell serving `snapshot`.
     pub fn new(snapshot: Arc<Snapshot>) -> Self {
         SnapshotCell {
-            // negassoc-lint: allow(L012) -- serving-layer swap cell, not a counting-pass structure; readers only clone the Arc
             slot: RwLock::new(snapshot),
         }
     }

@@ -8,6 +8,8 @@
 //! counting layer uses: each worker owns chunks covering only the
 //! transaction blocks it was dealt, so per-worker partial popcounts merge
 //! by plain addition (Savasere et al.'s partition invariant, bit-level).
+//! [`and_assign`] and [`and_count`] are the word loops the counting
+//! layer's prefix-shared AND kernel runs over [`BitmapChunk::row`]s.
 
 use crate::scan::TransactionSource;
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -66,6 +68,16 @@ impl BitmapChunk {
         self.bits[row as usize * self.words + offset / 64] |= 1u64 << (offset % 64);
     }
 
+    /// One row's words.
+    ///
+    /// # Panics
+    /// Panics when `row` is out of bounds.
+    #[inline]
+    pub fn row(&self, row: u32) -> &[u64] {
+        let start = row as usize * self.words;
+        &self.bits[start..start + self.words]
+    }
+
     /// Transactions in this chunk's window containing *all* of `rows`
     /// (word-wise AND + popcount). An empty `rows` slice counts nothing:
     /// the empty itemset is the caller's special case, not the chunk's.
@@ -106,6 +118,23 @@ impl BitmapChunk {
         for w in 0..self.words {
             self.bits[d + w] |= self.bits[s + w];
         }
+    }
+}
+
+/// Set bits of `a & b`, word by word over the shorter of the two.
+#[inline]
+pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| u64::from((x & y).count_ones()))
+        .sum()
+}
+
+/// `dst &= src`, word by word over the shorter of the two.
+#[inline]
+pub fn and_assign(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d &= s;
     }
 }
 

@@ -197,7 +197,20 @@ diff "$SMOKE/deep-flat.csv" "$SMOKE/deep-bitmap-t4.csv"
   --min-support 0.05 --max-size 2 --backend bitmap \
   --out "$SMOKE/backend-bitmap-sharded.csv" > /dev/null
 diff "$SMOKE/sh-whole.csv" "$SMOKE/backend-bitmap-sharded.csv"
-echo "smoke: bitmap byte-identical to flat, incl. threaded, sharded and full-depth"
+# Multi-chunk, full depth: every smoke above fits one 1,024-transaction
+# bitmap chunk and stops at L2 or L3. Tall 3k at 1% runs L1-L4 plus the
+# negative pass over three chunks, so the row map, the prefix-shared AND
+# kernel and the per-worker chunk split are diffed against flat here.
+"$NEGRULES" generate --data "$SMOKE/t3k.nadb" --taxonomy "$SMOKE/t3k.txt" \
+  --preset tall --transactions 3000 --seed 5 > /dev/null
+"$NEGRULES" negatives --data "$SMOKE/t3k.nadb" --taxonomy "$SMOKE/t3k.txt" \
+  --min-support 0.01 --backend flat --out "$SMOKE/t3k-flat.csv" > /dev/null
+for threads in 1 4; do
+  "$NEGRULES" negatives --data "$SMOKE/t3k.nadb" --taxonomy "$SMOKE/t3k.txt" \
+    --min-support 0.01 --threads "$threads" --out "$SMOKE/t3k-bitmap-t$threads.csv" > /dev/null
+  diff "$SMOKE/t3k-flat.csv" "$SMOKE/t3k-bitmap-t$threads.csv"
+done
+echo "smoke: bitmap byte-identical to flat, incl. threaded, sharded, full-depth and multi-chunk"
 
 echo "==> serve smoke (snapshot export, server vs offline oracle, SIGINT drain)"
 # Mine a small dataset into a versioned snapshot, serve it, answer a
