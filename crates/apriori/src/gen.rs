@@ -22,7 +22,7 @@ pub fn apriori_gen(large_prev: &[Itemset]) -> Vec<Itemset> {
         large_prev.iter().all(|s| s.len() == k_minus_1),
         "apriori_gen input must be uniform in size"
     );
-    let lookup: FxHashSet<&Itemset> = large_prev.iter().collect();
+    let lookup: FxHashSet<&[ItemId]> = large_prev.iter().map(Itemset::items).collect();
 
     // Sort for the prefix join.
     let mut sorted: Vec<&Itemset> = large_prev.iter().collect();
@@ -30,6 +30,7 @@ pub fn apriori_gen(large_prev: &[Itemset]) -> Vec<Itemset> {
 
     let mut out = Vec::new();
     let mut joined: Vec<ItemId> = Vec::with_capacity(k_minus_1 + 1);
+    let mut subset: Vec<ItemId> = Vec::with_capacity(k_minus_1);
     for (i, a) in sorted.iter().enumerate() {
         for b in &sorted[i + 1..] {
             let (pa, pb) = (a.items(), b.items());
@@ -41,20 +42,23 @@ pub fn apriori_gen(large_prev: &[Itemset]) -> Vec<Itemset> {
             joined.clear();
             joined.extend_from_slice(pa);
             joined.push(pb[k_minus_1 - 1]);
-            let candidate = Itemset::from_sorted(joined.as_slice().to_vec());
-            if prune_ok(&candidate, &lookup) {
-                out.push(candidate);
+            if prune_ok(&joined, &lookup, &mut subset) {
+                out.push(Itemset::from_sorted(joined.as_slice()));
             }
         }
     }
     out
 }
 
-/// `true` when every (k−1)-subset of `candidate` is in `lookup`.
-fn prune_ok(candidate: &Itemset, lookup: &FxHashSet<&Itemset>) -> bool {
-    candidate
-        .one_smaller_subsets()
-        .all(|sub| lookup.contains(&sub))
+/// `true` when every (k−1)-subset of `candidate` is in `lookup`. Each
+/// subset is assembled in `subset` and probed as a slice.
+fn prune_ok(candidate: &[ItemId], lookup: &FxHashSet<&[ItemId]>, subset: &mut Vec<ItemId>) -> bool {
+    (0..candidate.len()).all(|skip| {
+        subset.clear();
+        subset.extend_from_slice(&candidate[..skip]);
+        subset.extend_from_slice(&candidate[skip + 1..]);
+        lookup.contains(subset.as_slice())
+    })
 }
 
 /// Special-cased generation of 2-candidates from large 1-itemsets: all

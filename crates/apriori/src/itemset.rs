@@ -1,11 +1,24 @@
+//! Itemsets and the large-itemset store.
+//!
+//! An [`Itemset`] hashes, compares and orders exactly like its item slice
+//! (`Box<[T]>` delegates all three to `[T]`), so it implements
+//! `Borrow<[ItemId]>`: every `FxHashMap<Itemset, _>` in the workspace can
+//! be probed with a `&[ItemId]` built in a reused scratch buffer. The hot
+//! lookups — [`LargeItemsets::support_of`], the `apriori-gen` prune, rule
+//! generation and negative-candidate admission — allocate nothing; an
+//! `Itemset` is built only when one is stored or emitted.
+
 use negassoc_taxonomy::fxhash::FxHashMap;
 use negassoc_taxonomy::ItemId;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// An immutable itemset: a strictly ascending, boxed slice of item ids.
 ///
 /// Two words on the stack, one allocation, cheap hashing with the workspace
 /// Fx hasher — itemsets are the keys of every support table in the miner.
+/// Maps keyed by `Itemset` can be probed with the sorted slice alone (see
+/// the module docs).
 ///
 /// ```
 /// use negassoc_apriori::Itemset;
@@ -103,13 +116,25 @@ impl Itemset {
 
     /// Set difference `self \ other`.
     pub fn minus(&self, other: &Itemset) -> Itemset {
-        let out: Vec<ItemId> = self
-            .0
-            .iter()
-            .copied()
-            .filter(|i| !other.contains(*i))
-            .collect();
+        let mut out = Vec::with_capacity(self.len());
+        self.minus_into(other.items(), &mut out);
         Itemset(out.into_boxed_slice())
+    }
+
+    /// `out = self \ other` for a strictly ascending `other` (linear
+    /// merge), without allocating once `out` has grown: rule generation
+    /// builds each antecedent this way and probes it as a slice.
+    pub fn minus_into(&self, other: &[ItemId], out: &mut Vec<ItemId>) {
+        out.clear();
+        let mut j = 0;
+        for &x in self.0.iter() {
+            while j < other.len() && other[j] < x {
+                j += 1;
+            }
+            if j == other.len() || other[j] != x {
+                out.push(x);
+            }
+        }
     }
 
     /// The `len - 1` subsets obtained by dropping one item, in drop-index
@@ -174,6 +199,15 @@ impl fmt::Debug for Itemset {
     }
 }
 
+/// Sound because the derived `Hash`, `Eq` and `Ord` of the newtype
+/// delegate through `Box<[ItemId]>` to `[ItemId]`.
+impl Borrow<[ItemId]> for Itemset {
+    #[inline]
+    fn borrow(&self) -> &[ItemId] {
+        &self.0
+    }
+}
+
 impl From<Vec<ItemId>> for Itemset {
     fn from(v: Vec<ItemId>) -> Self {
         Itemset::from_unsorted(v)
@@ -224,14 +258,20 @@ impl LargeItemsets {
     }
 
     /// Support count of an itemset given as a sorted slice, if it is large.
+    /// Probes by the slice itself; nothing is allocated.
+    #[inline]
     pub fn support_of(&self, items: &[ItemId]) -> Option<u64> {
-        let set = Itemset::from_sorted(items.to_vec());
-        self.support_of_set(&set)
+        debug_assert!(
+            items.windows(2).all(|w| w[0] < w[1]),
+            "support_of needs a strictly ascending slice"
+        );
+        self.levels.get(items.len())?.get(items).copied()
     }
 
     /// Support count of an [`Itemset`], if it is large.
+    #[inline]
     pub fn support_of_set(&self, itemset: &Itemset) -> Option<u64> {
-        self.levels.get(itemset.len())?.get(itemset).copied()
+        self.support_of(itemset.items())
     }
 
     /// `true` when `itemset` was found large.
@@ -348,6 +388,25 @@ mod tests {
         assert_eq!(l.total(), 3);
         assert_eq!(l.iter().count(), 3);
         assert_eq!(l.level(1).count(), 2);
+    }
+
+    #[test]
+    fn slice_and_itemset_probes_hit_the_same_entry() {
+        let mut m: FxHashMap<Itemset, u32> = FxHashMap::default();
+        m.insert(set(&[2, 7, 9]), 1);
+        m.insert(set(&[2, 7]), 2);
+        let probe = [ItemId(2), ItemId(7), ItemId(9)];
+        assert_eq!(m.get(&probe[..]), m.get(&set(&[2, 7, 9])));
+        assert_eq!(m.get(&probe[..]), Some(&1));
+        assert_eq!(m.get(&probe[..2]), Some(&2));
+        assert_eq!(m.get(&probe[1..]), None);
+        *m.get_mut(&probe[..]).unwrap() = 5;
+        assert_eq!(m[&set(&[2, 7, 9])], 5);
+
+        let mut l = LargeItemsets::new(10, 1);
+        l.insert(set(&[2, 7]), 4);
+        assert_eq!(l.support_of(&probe[..2]), l.support_of_set(&set(&[2, 7])));
+        assert_eq!(l.support_of(&probe[..2]), Some(4));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::gen::apriori_gen;
 use crate::itemset::{Itemset, LargeItemsets};
+use negassoc_taxonomy::ItemId;
 use std::fmt;
 
 /// A positive association rule `antecedent ⇒ consequent`.
@@ -39,22 +40,42 @@ impl fmt::Display for Rule {
 
 /// Generate all rules with confidence at least `min_confidence` from the
 /// mined `large` itemsets.
+///
+/// Each antecedent is assembled in one reused scratch buffer and its
+/// support probed by slice, so only emitted rules allocate.
 pub fn generate_rules(large: &LargeItemsets, min_confidence: f64) -> Vec<Rule> {
     assert!(
         (0.0..=1.0).contains(&min_confidence),
         "confidence must be within [0, 1]"
     );
     let mut out = Vec::new();
+    let mut antecedent = Vec::new();
     for k in 2..=large.max_level() {
         for (itemset, support) in large.level(k) {
             // Seed: all 1-item consequents whose rule passes.
-            let h1: Vec<Itemset> = itemset
-                .items()
-                .iter()
-                .map(|&i| Itemset::singleton(i))
-                .filter(|c| try_emit(large, itemset, support, c, min_confidence, &mut out))
-                .collect();
-            grow_consequents(large, itemset, support, h1, min_confidence, &mut out);
+            let mut h1 = Vec::new();
+            for &item in itemset.items() {
+                if try_emit(
+                    large,
+                    itemset,
+                    support,
+                    &[item],
+                    min_confidence,
+                    &mut antecedent,
+                    &mut out,
+                ) {
+                    h1.push(Itemset::singleton(item));
+                }
+            }
+            grow_consequents(
+                large,
+                itemset,
+                support,
+                h1,
+                min_confidence,
+                &mut antecedent,
+                &mut out,
+            );
         }
     }
     out
@@ -62,29 +83,31 @@ pub fn generate_rules(large: &LargeItemsets, min_confidence: f64) -> Vec<Rule> {
 
 /// Emit the rule `(itemset − consequent) ⇒ consequent` when confident;
 /// returns whether it passed (so the consequent survives for extension).
+/// `antecedent` is scratch.
 fn try_emit(
     large: &LargeItemsets,
     itemset: &Itemset,
     support: u64,
-    consequent: &Itemset,
+    consequent: &[ItemId],
     min_confidence: f64,
+    antecedent: &mut Vec<ItemId>,
     out: &mut Vec<Rule>,
 ) -> bool {
-    let antecedent = itemset.minus(consequent);
+    itemset.minus_into(consequent, antecedent);
     if antecedent.is_empty() {
         return false;
     }
     // Every subset of a large itemset is large, so the lookup succeeds;
     // treat a miss (a corrupt store) as "no rule" rather than panicking.
-    let Some(asup) = large.support_of_set(&antecedent) else {
+    let Some(asup) = large.support_of(antecedent) else {
         return false;
     };
     // negassoc-lint: allow(L005) -- confidence ratio; supports are exact in f64 up to 2^53
     let confidence = support as f64 / asup as f64;
     if confidence >= min_confidence {
         out.push(Rule {
-            antecedent,
-            consequent: consequent.clone(),
+            antecedent: Itemset::from_sorted(antecedent.as_slice()),
+            consequent: Itemset::from_sorted(consequent),
             support,
             confidence,
         });
@@ -101,6 +124,7 @@ fn grow_consequents(
     support: u64,
     h_m: Vec<Itemset>,
     min_confidence: f64,
+    antecedent: &mut Vec<ItemId>,
     out: &mut Vec<Rule>,
 ) {
     if h_m.is_empty() || h_m[0].len() + 1 >= itemset.len() {
@@ -108,15 +132,25 @@ fn grow_consequents(
     }
     let h_next: Vec<Itemset> = apriori_gen(&h_m)
         .into_iter()
-        .filter(|c| try_emit(large, itemset, support, c, min_confidence, out))
+        .filter(|c| {
+            let c = c.items();
+            try_emit(large, itemset, support, c, min_confidence, antecedent, out)
+        })
         .collect();
-    grow_consequents(large, itemset, support, h_next, min_confidence, out);
+    grow_consequents(
+        large,
+        itemset,
+        support,
+        h_next,
+        min_confidence,
+        antecedent,
+        out,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use negassoc_taxonomy::ItemId;
 
     fn set(v: &[u32]) -> Itemset {
         Itemset::from_unsorted(v.iter().map(|&i| ItemId(i)).collect())

@@ -24,15 +24,28 @@
 //!    negatively, interesting — see the paper's worked example).
 //!
 //! The same candidate can arise from different large itemsets with
-//! different expectations; the **largest** expected support wins (§2.1.1).
+//! different expectations; the **largest** expected support wins (§2.1.1),
+//! and a tie keeps the first-seen derivation (seeds are visited in sorted
+//! order).
+//!
+//! # Cost
+//!
+//! Generation runs once per mine over every product, so its inner loop
+//! allocates nothing. Each seed's members have their child and sibling
+//! options resolved once, supports attached, into a scratch buffer shared
+//! by all of the seed's masks. A product is assembled and sorted in
+//! scratch, and every check probes that sorted slice: the large-itemset
+//! store and the candidate map are keyed by [`Itemset`], which borrows as
+//! `[ItemId]`. An `Itemset` and a cloned seed [`Derivation`] are built
+//! only when a candidate is inserted or replaces a smaller expectation.
 
 use crate::error::NegAssocError;
 use crate::expected::{candidate_threshold, expected_support, Ratio};
 use crate::substitutes::SubstituteKnowledge;
-use negassoc_apriori::generalized::AncestorTable;
 use negassoc_apriori::{Itemset, LargeItemsets};
 use negassoc_taxonomy::fxhash::FxHashMap;
 use negassoc_taxonomy::{FilteredTaxonomy, ItemId, Taxonomy};
+use std::ops::Range;
 
 /// Which of the paper's generation cases produced a candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,7 +177,6 @@ pub struct CandidateGenerator<'a> {
     /// When present, children/sibling options come pre-filtered to large
     /// items (the improved algorithm compresses the taxonomy, §2.2.2).
     filtered: Option<&'a FilteredTaxonomy<'a>>,
-    ancestors: AncestorTable,
     large: &'a LargeItemsets,
     threshold: f64,
     substitutes: Option<&'a SubstituteKnowledge>,
@@ -177,7 +189,6 @@ impl<'a> CandidateGenerator<'a> {
         Self {
             tax,
             filtered: None,
-            ancestors: AncestorTable::new(tax),
             large,
             threshold: candidate_threshold(large.min_support_count(), min_ri),
             substitutes: None,
@@ -194,7 +205,6 @@ impl<'a> CandidateGenerator<'a> {
         Self {
             tax: filtered.base(),
             filtered: Some(filtered),
-            ancestors: AncestorTable::new(filtered.base()),
             large,
             threshold: candidate_threshold(large.min_support_count(), min_ri),
             substitutes: None,
@@ -206,6 +216,16 @@ impl<'a> CandidateGenerator<'a> {
     pub fn with_substitutes(mut self, subs: &'a SubstituteKnowledge) -> Self {
         self.substitutes = Some(subs);
         self
+    }
+
+    /// `true` when some pair of `items` is in ancestor/descendant relation.
+    /// [`Taxonomy::related`] rejects a pair of equal depth, such as two
+    /// siblings, from its depth array without walking any ancestors.
+    fn has_related_pair(&self, items: &[ItemId]) -> bool {
+        items
+            .iter()
+            .enumerate()
+            .any(|(i, &a)| items[i + 1..].iter().any(|&b| self.tax.related(a, b)))
     }
 
     fn support_1(&self, item: ItemId) -> Option<u64> {
@@ -257,6 +277,7 @@ impl<'a> CandidateGenerator<'a> {
         let mut seeds: Vec<(&Itemset, u64)> = self.large.level(k).collect();
         // Deterministic order keeps stats and iteration reproducible.
         seeds.sort_by(|a, b| a.0.cmp(b.0));
+        let mut scratch = Scratch::default();
         for (itemset, support) in seeds {
             // A seed whose members are not all retained can still be large;
             // its members ARE large by downward closure, so retention can
@@ -265,7 +286,7 @@ impl<'a> CandidateGenerator<'a> {
                 continue;
             }
             set.stats.seeds += 1;
-            self.extend_from_itemset(itemset, support, set)?;
+            self.extend_seed(itemset, support, &mut scratch, set)?;
         }
         Ok(())
     }
@@ -277,30 +298,36 @@ impl<'a> CandidateGenerator<'a> {
         support: u64,
         set: &mut CandidateSet,
     ) -> Result<(), NegAssocError> {
+        self.extend_seed(itemset, support, &mut Scratch::default(), set)
+    }
+
+    fn extend_seed(
+        &self,
+        itemset: &Itemset,
+        support: u64,
+        scratch: &mut Scratch,
+        set: &mut CandidateSet,
+    ) -> Result<(), NegAssocError> {
         let k = itemset.len();
         debug_assert!(k >= 2, "negative candidates need seeds of size >= 2");
+        self.resolve_options(itemset, scratch);
         let full_mask: u32 = (1 << k) - 1;
-        let mut options: Vec<Vec<ItemId>> = Vec::with_capacity(k);
         for mask in 1..=full_mask {
             // Children substitutions: any nonempty mask (cases 1 & 2).
-            if self.collect_options(itemset, mask, &mut options, OptionKind::Children) {
-                let case = if mask == full_mask {
-                    DerivationCase::AllChildren
-                } else {
-                    DerivationCase::SomeChildren
-                };
-                self.emit_products(itemset, support, mask, &options, case, set)?;
-            }
+            let case = if mask == full_mask {
+                DerivationCase::AllChildren
+            } else {
+                DerivationCase::SomeChildren
+            };
+            self.emit_products(itemset, support, mask, case, scratch, set)?;
             // Sibling substitutions: proper nonempty masks only (case 3).
-            if mask != full_mask
-                && self.collect_options(itemset, mask, &mut options, OptionKind::Siblings)
-            {
+            if mask != full_mask {
                 self.emit_products(
                     itemset,
                     support,
                     mask,
-                    &options,
                     DerivationCase::Siblings,
+                    scratch,
                     set,
                 )?;
             }
@@ -308,64 +335,87 @@ impl<'a> CandidateGenerator<'a> {
         Ok(())
     }
 
-    /// Fill `options[j]` for each masked position; `false` when some masked
-    /// position has no option (no product exists).
-    fn collect_options(
-        &self,
-        itemset: &Itemset,
-        mask: u32,
-        options: &mut Vec<Vec<ItemId>>,
-        kind: OptionKind,
-    ) -> bool {
+    /// Resolve every seed member's child and sibling options, with their
+    /// supports, once for all of the seed's masks.
+    fn resolve_options(&self, seed: &Itemset, scratch: &mut Scratch) {
+        let Scratch {
+            options,
+            children,
+            siblings,
+            member_support,
+            found,
+            ..
+        } = scratch;
         options.clear();
-        for (pos, &member) in itemset.items().iter().enumerate() {
+        children.clear();
+        siblings.clear();
+        member_support.clear();
+        let mut push = |found: &[ItemId]| {
+            let start = options.len();
+            options.extend(found.iter().map(|&i| (i, self.support_1(i))));
+            start..options.len()
+        };
+        for &member in seed.items() {
+            member_support.push(self.support_1(member));
+            self.child_options(member, found);
+            children.push(push(found));
+            self.sibling_options(member, found);
+            siblings.push(push(found));
+        }
+    }
+
+    /// Emit every combination of the masked positions' options for `case`
+    /// (children for cases 1–2, siblings for case 3). Nothing here
+    /// allocates once the scratch buffers have grown.
+    fn emit_products(
+        &self,
+        seed: &Itemset,
+        support: u64,
+        mask: u32,
+        case: DerivationCase,
+        scratch: &mut Scratch,
+        set: &mut CandidateSet,
+    ) -> Result<(), NegAssocError> {
+        let Scratch {
+            options,
+            children,
+            siblings,
+            member_support,
+            slots,
+            choice,
+            items,
+            sorted,
+            ratios,
+            ..
+        } = scratch;
+        let per_position = match case {
+            DerivationCase::Siblings => siblings,
+            DerivationCase::AllChildren | DerivationCase::SomeChildren => children,
+        };
+        slots.clear();
+        for (pos, range) in per_position.iter().enumerate() {
             if mask & (1 << pos) == 0 {
                 continue;
             }
-            let mut opts = Vec::new();
-            match kind {
-                OptionKind::Children => self.child_options(member, &mut opts),
-                OptionKind::Siblings => self.sibling_options(member, &mut opts),
+            if range.is_empty() {
+                return Ok(()); // a masked position without options: no product
             }
-            if opts.is_empty() {
-                return false;
-            }
-            options.push(opts);
+            slots.push((pos, range.clone()));
         }
-        true
-    }
-
-    /// Emit every combination of the masked positions' options.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_products(
-        &self,
-        itemset: &Itemset,
-        support: u64,
-        mask: u32,
-        options: &[Vec<ItemId>],
-        case: DerivationCase,
-        set: &mut CandidateSet,
-    ) -> Result<(), NegAssocError> {
-        let masked_positions: Vec<usize> = (0..itemset.len())
-            .filter(|&p| mask & (1 << p) != 0)
-            .collect();
-        debug_assert_eq!(masked_positions.len(), options.len());
-        let mut choice = vec![0usize; options.len()];
-        let mut items: Vec<ItemId> = Vec::with_capacity(itemset.len());
-        let mut ratios: Vec<Ratio> = Vec::with_capacity(options.len());
+        choice.clear();
+        choice.resize(slots.len(), 0);
         loop {
             // Assemble the candidate for the current choice vector.
             items.clear();
-            items.extend_from_slice(itemset.items());
+            items.extend_from_slice(seed.items());
             ratios.clear();
             let mut valid = true;
-            for (slot, (&pos, opts)) in masked_positions.iter().zip(options).enumerate() {
-                let replacement = opts[choice[slot]];
-                let member = itemset.items()[pos];
-                items[pos] = replacement;
+            for ((pos, range), &c) in slots.iter().zip(choice.iter()) {
+                let (replacement, new_support) = options[range.start + c];
+                items[*pos] = replacement;
                 // Supports of the replacement and the replaced member; both
-                // are large items, so the lookups succeed.
-                match (self.support_1(replacement), self.support_1(member)) {
+                // are large items, so they are known.
+                match (new_support, member_support[*pos]) {
                     (Some(new_support), Some(base_support)) => ratios.push(Ratio {
                         new_support,
                         base_support,
@@ -380,17 +430,17 @@ impl<'a> CandidateGenerator<'a> {
             if !valid {
                 set.stats.rejected_small_item += 1;
             } else {
-                self.admit(&items, itemset, support, &ratios, case, set)?;
+                self.admit(items, sorted, seed, support, ratios, case, set)?;
             }
             // Advance the mixed-radix choice counter.
-            let mut slot = options.len();
+            let mut slot = slots.len();
             loop {
                 if slot == 0 {
                     return Ok(());
                 }
                 slot -= 1;
                 choice[slot] += 1;
-                if choice[slot] < options[slot].len() {
+                if choice[slot] < slots[slot].1.len() {
                     break;
                 }
                 choice[slot] = 0;
@@ -399,17 +449,24 @@ impl<'a> CandidateGenerator<'a> {
     }
 
     /// Validate one assembled candidate and insert it (max expectation).
+    /// The candidate is sorted into `sorted` and every lookup probes that
+    /// slice; an `Itemset` and a `Derivation` are built only when the
+    /// candidate is inserted or replaces a smaller expectation.
+    #[allow(clippy::too_many_arguments)]
     fn admit(
         &self,
         items: &[ItemId],
+        sorted: &mut Vec<ItemId>,
         seed: &Itemset,
         support: u64,
         ratios: &[Ratio],
         case: DerivationCase,
         set: &mut CandidateSet,
     ) -> Result<(), NegAssocError> {
-        let candidate = Itemset::from_unsorted(items.to_vec());
-        if candidate.len() != items.len() || self.ancestors.has_related_pair(candidate.items()) {
+        sorted.clear();
+        sorted.extend_from_slice(items);
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) || self.has_related_pair(sorted) {
             set.stats.rejected_related += 1;
             return Ok(());
         }
@@ -420,7 +477,7 @@ impl<'a> CandidateGenerator<'a> {
             set.stats.rejected_low_expected += 1;
             return Ok(());
         }
-        if self.large.contains(&candidate) {
+        if self.large.support_of(sorted).is_some() {
             set.stats.rejected_large += 1;
             return Ok(());
         }
@@ -429,25 +486,49 @@ impl<'a> CandidateGenerator<'a> {
             seed_support: support,
             case,
         };
-        match set.map.entry(candidate) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                set.stats.merged += 1;
-                if expected > e.get().0 {
-                    e.insert((expected, derivation()));
-                }
+        // A tie keeps the first-seen derivation (strict `>`; seeds are
+        // visited in sorted order).
+        if let Some(entry) = set.map.get_mut(sorted.as_slice()) {
+            set.stats.merged += 1;
+            if expected > entry.0 {
+                *entry = (expected, derivation());
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((expected, derivation()));
-            }
+        } else {
+            set.map.insert(
+                Itemset::from_sorted(sorted.as_slice()),
+                (expected, derivation()),
+            );
         }
         Ok(())
     }
 }
 
-#[derive(Clone, Copy)]
-enum OptionKind {
-    Children,
-    Siblings,
+/// Buffers reused across the seeds of one generation run: the current
+/// seed's resolved options and the product being assembled.
+#[derive(Default)]
+struct Scratch {
+    /// Every option of the current seed as `(item, support)`. The support
+    /// is `None` only for a retained item that is not large, which
+    /// [`CandidateStats::rejected_small_item`] counts.
+    options: Vec<(ItemId, Option<u64>)>,
+    /// Per seed position: its child options, a range of `options`.
+    children: Vec<Range<usize>>,
+    /// Per seed position: its sibling (and substitute) options.
+    siblings: Vec<Range<usize>>,
+    /// Per seed position: the member's own support.
+    member_support: Vec<Option<u64>>,
+    /// Option lists of one mask and case: `(position, range of options)`.
+    slots: Vec<(usize, Range<usize>)>,
+    /// The mixed-radix choice counter over `slots`.
+    choice: Vec<usize>,
+    /// The candidate in seed order.
+    items: Vec<ItemId>,
+    /// The candidate sorted; the key every lookup probes.
+    sorted: Vec<ItemId>,
+    /// One ratio per slot, in slot order.
+    ratios: Vec<Ratio>,
+    /// Options of one member before their supports are attached.
+    found: Vec<ItemId>,
 }
 
 #[cfg(test)]
@@ -692,6 +773,60 @@ mod tests {
         // Max kept: 640.
         assert!((ch.expected - 640.0).abs() < 1e-9);
         assert!(stats.merged > 0);
+    }
+
+    #[test]
+    fn equal_expectations_keep_the_first_seen_derivation() {
+        // P -> {a, b}, Q -> {x, y}. Seed {P, Q} (case 1) and seed {a, x}
+        // (case 3, x -> y) both expect {a, y} at exactly 1000:
+        // 4000 · (2000/4000) · (2000/4000) = 1000 · (2000/2000).
+        let mut b = TaxonomyBuilder::new();
+        let p = b.add_root("P");
+        let a = b.add_child(p, "a").unwrap();
+        let bb = b.add_child(p, "b").unwrap();
+        let q = b.add_root("Q");
+        let x = b.add_child(q, "x").unwrap();
+        let y = b.add_child(q, "y").unwrap();
+        let tax = b.build();
+        let mut large = LargeItemsets::new(10_000, 100);
+        for (item, sup) in [
+            (p, 4000u64),
+            (a, 2000),
+            (bb, 1000),
+            (q, 4000),
+            (x, 2000),
+            (y, 2000),
+        ] {
+            large.insert(Itemset::singleton(item), sup);
+        }
+        let pq = Itemset::from_unsorted(vec![p, q]);
+        let ax = Itemset::from_unsorted(vec![a, x]);
+        large.insert(pq.clone(), 4000);
+        large.insert(ax.clone(), 1000);
+        let ay = Itemset::from_unsorted(vec![a, y]);
+        let gene = CandidateGenerator::new(&tax, &large, 1e-9);
+
+        for (first, first_case, second) in [
+            (&pq, DerivationCase::AllChildren, &ax),
+            (&ax, DerivationCase::Siblings, &pq),
+        ] {
+            let mut set = CandidateSet::new();
+            gene.extend_from_itemset(first, large.support_of_set(first).unwrap(), &mut set)
+                .unwrap();
+            gene.extend_from_itemset(second, large.support_of_set(second).unwrap(), &mut set)
+                .unwrap();
+            let (cands, stats) = set.into_candidates();
+            let c = cands.iter().find(|c| c.itemset == ay).unwrap();
+            assert_eq!(c.expected, 1000.0);
+            assert_eq!(&c.derivation.seed, first);
+            assert_eq!(c.derivation.case, first_case);
+            assert!(stats.merged >= 1);
+        }
+
+        // Through a level, seeds run in sorted order: {P, Q} sorts first.
+        let (cands, _) = candidates_of(&tax, &large, 1e-9);
+        let c = cands.iter().find(|c| c.itemset == ay).unwrap();
+        assert_eq!(c.derivation.seed, pq);
     }
 
     #[test]

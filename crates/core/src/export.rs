@@ -8,11 +8,25 @@
 //! digest is what lets every later consumer (snapshot writer, loader,
 //! server hot-swap) refuse a rule set replayed against a different
 //! hierarchy instead of silently mis-expanding categories.
+//!
+//! # Canonical order without comparing itemsets
+//!
+//! Rules are ordered by `(antecedent, consequent)`. Both sides of every
+//! mined rule are large itemsets, so all the rules of a mine share at most
+//! as many distinct sides as there are large itemsets (8,964 for 141,685
+//! rules on Tall 50k at 1.5%). Export hashes each rule side once to find
+//! the distinct ones, sorts only those to rank them, and then sorts the
+//! rules by `(antecedent rank, consequent rank, input position)` integer
+//! keys with an unstable sort. The position makes every key unique, so the
+//! order equals a stable sort by the itemset comparator, even for a
+//! hand-built rule list that repeats a pair.
 
 use crate::miner::MiningOutcome;
 use crate::rules::NegativeRule;
 use negassoc_apriori::rules::{generate_rules, Rule};
-use negassoc_taxonomy::Taxonomy;
+use negassoc_apriori::Itemset;
+use negassoc_taxonomy::fxhash::FxHashMap;
+use negassoc_taxonomy::{ItemId, Taxonomy};
 
 /// A deterministic, self-describing bundle of mined rules ready for
 /// snapshot serialization. Rule order is canonical (sorted by antecedent,
@@ -49,18 +63,13 @@ impl MiningOutcome {
     /// Panics if `min_confidence` is outside `[0, 1]` (same contract as
     /// [`generate_rules`]); validate user input before calling.
     pub fn rule_export(&self, tax: &Taxonomy, min_confidence: f64, min_ri: f64) -> RuleSetExport {
-        let mut positive = generate_rules(&self.large, min_confidence);
-        positive.sort_by(|a, b| {
-            a.antecedent
-                .cmp(&b.antecedent)
-                .then_with(|| a.consequent.cmp(&b.consequent))
-        });
-        let mut negative = self.rules.clone();
-        negative.sort_by(|a, b| {
-            a.antecedent
-                .cmp(&b.antecedent)
-                .then_with(|| a.consequent.cmp(&b.consequent))
-        });
+        let positive = generate_rules(&self.large, min_confidence);
+        let mut ranks = SideRanks::default();
+        let positive_sides = ranks.sides(positive.iter().map(|r| (&r.antecedent, &r.consequent)));
+        let negative_sides = ranks.sides(self.rules.iter().map(|r| (&r.antecedent, &r.consequent)));
+        let rank = ranks.finish();
+        let positive = canonical_order(positive, &positive_sides, &rank);
+        let negative = canonical_order(self.rules.clone(), &negative_sides, &rank);
         RuleSetExport {
             taxonomy_digest: tax.digest(),
             num_transactions: self.large.num_transactions(),
@@ -71,6 +80,61 @@ impl MiningOutcome {
             negative,
         }
     }
+}
+
+/// Distinct rule sides in first-seen order, for ranking.
+#[derive(Default)]
+struct SideRanks<'a> {
+    ids: FxHashMap<&'a [ItemId], u32>,
+    sides: Vec<&'a [ItemId]>,
+}
+
+impl<'a> SideRanks<'a> {
+    /// The first-seen ids of each rule's `(antecedent, consequent)`.
+    fn sides(
+        &mut self,
+        rules: impl Iterator<Item = (&'a Itemset, &'a Itemset)>,
+    ) -> Vec<(u32, u32)> {
+        rules
+            .map(|(a, c)| (self.id(a.items()), self.id(c.items())))
+            .collect()
+    }
+
+    fn id(&mut self, side: &'a [ItemId]) -> u32 {
+        let next = self.sides.len() as u32;
+        let id = *self.ids.entry(side).or_insert(next);
+        if id == next {
+            self.sides.push(side);
+        }
+        id
+    }
+
+    /// `rank[id]`: the position of side `id` in itemset order.
+    fn finish(self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.sides.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| self.sides[id as usize]);
+        let mut rank = vec![0u32; order.len()];
+        for (r, &id) in order.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        rank
+    }
+}
+
+/// Reorder `rules` by `(antecedent rank, consequent rank, input position)`.
+/// Only the 16-byte keys are sorted; each rule then moves once.
+fn canonical_order<R>(rules: Vec<R>, sides: &[(u32, u32)], rank: &[u32]) -> Vec<R> {
+    let mut keys: Vec<(u64, usize)> = sides
+        .iter()
+        .enumerate()
+        .map(|(i, &(a, c))| {
+            let pair = u64::from(rank[a as usize]) << 32 | u64::from(rank[c as usize]);
+            (pair, i)
+        })
+        .collect();
+    keys.sort_unstable();
+    let mut slots: Vec<Option<R>> = rules.into_iter().map(Some).collect();
+    keys.iter().filter_map(|&(_, i)| slots[i].take()).collect()
 }
 
 #[cfg(test)]

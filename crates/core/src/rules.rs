@@ -22,6 +22,7 @@ use crate::error::NegAssocError;
 use crate::expected::{approx_ge, rule_interest};
 use negassoc_apriori::gen::apriori_gen;
 use negassoc_apriori::{Itemset, LargeItemsets};
+use negassoc_taxonomy::ItemId;
 use std::fmt;
 
 /// A negative association rule `antecedent ≠> consequent`.
@@ -44,7 +45,7 @@ pub struct NegativeRule {
 
 impl NegativeRule {
     /// Convenience: `true` when `item` occurs in the antecedent.
-    pub fn antecedent_contains(&self, item: negassoc_taxonomy::ItemId) -> bool {
+    pub fn antecedent_contains(&self, item: ItemId) -> bool {
         self.antecedent.contains(item)
     }
 }
@@ -61,12 +62,17 @@ impl fmt::Display for NegativeRule {
 
 /// Generate all negative rules with interest at least `min_ri` from the
 /// confirmed negative itemsets.
+///
+/// Consequents and antecedents are probed against `large` as slices (the
+/// antecedent assembled in one reused scratch buffer), so only emitted
+/// rules allocate.
 pub fn generate_negative_rules(
     negatives: &[NegativeItemset],
     large: &LargeItemsets,
     min_ri: f64,
 ) -> Result<Vec<NegativeRule>, NegAssocError> {
     let mut out = Vec::new();
+    let mut antecedent = Vec::new();
     for n in negatives {
         if n.itemset.len() < 2 {
             continue;
@@ -74,34 +80,35 @@ pub fn generate_negative_rules(
         // H1: single-item consequents that produce a rule.
         let mut h1 = Vec::new();
         for &i in n.itemset.items() {
-            let h = Itemset::singleton(i);
-            if try_emit(n, large, &h, min_ri, &mut out)? {
-                h1.push(h);
+            if try_emit(n, large, &[i], min_ri, &mut antecedent, &mut out)? {
+                h1.push(Itemset::singleton(i));
             }
         }
-        grow(n, large, h1, min_ri, &mut out)?;
+        grow(n, large, h1, min_ri, &mut antecedent, &mut out)?;
     }
     Ok(out)
 }
 
 /// Emit `(n − h) ≠> h` when all constraints pass; returns whether it did.
+/// `antecedent` is scratch.
 fn try_emit(
     n: &NegativeItemset,
     large: &LargeItemsets,
-    consequent: &Itemset,
+    consequent: &[ItemId],
     min_ri: f64,
+    antecedent: &mut Vec<ItemId>,
     out: &mut Vec<NegativeRule>,
 ) -> Result<bool, NegAssocError> {
     // Consequent must be large.
-    let Some(_) = large.support_of_set(consequent) else {
+    let Some(_) = large.support_of(consequent) else {
         return Ok(false);
     };
-    let antecedent = n.itemset.minus(consequent);
+    n.itemset.minus_into(consequent, antecedent);
     if antecedent.is_empty() {
         return Ok(false);
     }
     // Antecedent must be large too.
-    let Some(asup) = large.support_of_set(&antecedent) else {
+    let Some(asup) = large.support_of(antecedent) else {
         return Ok(false);
     };
     // `asup` is a large-item support, so a zero here means the large-itemset
@@ -109,8 +116,8 @@ fn try_emit(
     let ri = rule_interest(n.expected, n.actual, asup)?;
     if approx_ge(ri, min_ri) {
         out.push(NegativeRule {
-            antecedent,
-            consequent: consequent.clone(),
+            antecedent: Itemset::from_sorted(antecedent.as_slice()),
+            consequent: Itemset::from_sorted(consequent),
             expected: n.expected,
             actual: n.actual,
             ri,
@@ -128,6 +135,7 @@ fn grow(
     large: &LargeItemsets,
     h_m: Vec<Itemset>,
     min_ri: f64,
+    antecedent: &mut Vec<ItemId>,
     out: &mut Vec<NegativeRule>,
 ) -> Result<(), NegAssocError> {
     if h_m.is_empty() || h_m[0].len() + 1 >= n.itemset.len() {
@@ -135,17 +143,16 @@ fn grow(
     }
     let mut next = Vec::new();
     for h in apriori_gen(&h_m) {
-        if try_emit(n, large, &h, min_ri, out)? {
+        if try_emit(n, large, h.items(), min_ri, antecedent, out)? {
             next.push(h);
         }
     }
-    grow(n, large, next, min_ri, out)
+    grow(n, large, next, min_ri, antecedent, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use negassoc_taxonomy::ItemId;
 
     fn set(v: &[u32]) -> Itemset {
         Itemset::from_unsorted(v.iter().map(|&i| ItemId(i)).collect())

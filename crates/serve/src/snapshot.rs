@@ -53,6 +53,9 @@ const VERSION: u8 = 1;
 const MAX_SECTION: u32 = 256 << 20;
 /// Fixed size of the 'H' section payload.
 const HEADER_LEN: usize = 56;
+/// Size of a section's frame header: tag, payload length, payload CRC,
+/// frame CRC.
+const FRAME_LEN: usize = 13;
 
 /// Provenance carried in the snapshot header.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -230,6 +233,12 @@ pub fn export_snapshot<P: AsRef<Path>>(
 }
 
 /// The exact bytes [`export_snapshot`] writes.
+///
+/// The buffer is sized up front and every section is written in place:
+/// its frame header is reserved, the payload appended, and the length and
+/// both checksums patched in afterwards. Each rule's antecedent is read
+/// once, while its section is encoded, and that pass also records the
+/// rule's index anchor.
 pub fn snapshot_bytes(
     export: &RuleSetExport,
     snapshot_version: u64,
@@ -237,51 +246,72 @@ pub fn snapshot_bytes(
     if export.positive.len() > u32::MAX as usize || export.negative.len() > u32::MAX as usize {
         return Err(ServeError::Format("more than u32::MAX rules".into()));
     }
-    let mut out = Vec::new();
+    let num_rules = export.positive.len() + export.negative.len();
+    let sides = |a: &Itemset, c: &Itemset| 2 + 4 * a.len() + 2 + 4 * c.len();
+    let pos_len: usize = export
+        .positive
+        .iter()
+        .map(|r| sides(&r.antecedent, &r.consequent) + 16)
+        .sum();
+    let neg_len: usize = export
+        .negative
+        .iter()
+        .map(|r| sides(&r.antecedent, &r.consequent) + 24)
+        .sum();
+    // The index holds a posting per rule and an entry per distinct
+    // anchor; anchors are only known after encoding, so count one per
+    // rule. The buffer is never regrown.
+    let max_idx_len = 4 + 12 * num_rules;
+    let mut out = Vec::with_capacity(
+        MAGIC.len() + 1 + 4 * FRAME_LEN + HEADER_LEN + pos_len + neg_len + max_idx_len,
+    );
+    let mut anchors = Vec::with_capacity(num_rules);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
 
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    put_u64(&mut header, snapshot_version);
-    put_u64(&mut header, export.taxonomy_digest);
-    put_u64(&mut header, export.num_transactions);
-    put_u64(&mut header, export.min_support_count);
-    put_u64(&mut header, export.min_ri.to_bits());
-    put_u64(&mut header, export.min_confidence.to_bits());
-    put_u32(&mut header, export.positive.len() as u32);
-    put_u32(&mut header, export.negative.len() as u32);
-    write_section(&mut out, b'H', &header)?;
+    let at = begin_section(&mut out, b'H');
+    put_u64(&mut out, snapshot_version);
+    put_u64(&mut out, export.taxonomy_digest);
+    put_u64(&mut out, export.num_transactions);
+    put_u64(&mut out, export.min_support_count);
+    put_u64(&mut out, export.min_ri.to_bits());
+    put_u64(&mut out, export.min_confidence.to_bits());
+    put_u32(&mut out, export.positive.len() as u32);
+    put_u32(&mut out, export.negative.len() as u32);
+    end_section(&mut out, at)?;
 
-    let mut pos = Vec::new();
+    let at = begin_section(&mut out, b'P');
     for rule in &export.positive {
-        put_itemset(&mut pos, &rule.antecedent)?;
-        put_itemset(&mut pos, &rule.consequent)?;
-        put_u64(&mut pos, rule.support);
-        put_u64(&mut pos, rule.confidence.to_bits());
+        anchors.push(rule.antecedent.items().first().copied());
+        put_itemset(&mut out, &rule.antecedent)?;
+        put_itemset(&mut out, &rule.consequent)?;
+        put_u64(&mut out, rule.support);
+        put_u64(&mut out, rule.confidence.to_bits());
     }
-    write_section(&mut out, b'P', &pos)?;
+    end_section(&mut out, at)?;
 
-    let mut neg = Vec::new();
+    let at = begin_section(&mut out, b'N');
     for rule in &export.negative {
-        put_itemset(&mut neg, &rule.antecedent)?;
-        put_itemset(&mut neg, &rule.consequent)?;
-        put_u64(&mut neg, rule.expected.to_bits());
-        put_u64(&mut neg, rule.actual);
-        put_u64(&mut neg, rule.ri.to_bits());
+        anchors.push(rule.antecedent.items().first().copied());
+        put_itemset(&mut out, &rule.antecedent)?;
+        put_itemset(&mut out, &rule.consequent)?;
+        put_u64(&mut out, rule.expected.to_bits());
+        put_u64(&mut out, rule.actual);
+        put_u64(&mut out, rule.ri.to_bits());
     }
-    write_section(&mut out, b'N', &neg)?;
+    end_section(&mut out, at)?;
 
-    let mut idx = Vec::new();
-    let index = build_index(&export.positive, &export.negative);
-    put_u32(&mut idx, index.len() as u32);
+    let at = begin_section(&mut out, b'X');
+    let index = index_of(anchors);
+    put_u32(&mut out, index.len() as u32);
     for (anchor, postings) in &index {
-        put_u32(&mut idx, anchor.0);
-        put_u32(&mut idx, postings.len() as u32);
+        put_u32(&mut out, anchor.0);
+        put_u32(&mut out, postings.len() as u32);
         for &rid in postings {
-            put_u32(&mut idx, rid);
+            put_u32(&mut out, rid);
         }
     }
-    write_section(&mut out, b'X', &idx)?;
+    end_section(&mut out, at)?;
     Ok(out)
 }
 
@@ -290,21 +320,37 @@ pub fn snapshot_bytes(
 /// sorted. Deterministic in the canonical rule order, so writer and
 /// loader agree bit-for-bit.
 fn build_index(positive: &[Rule], negative: &[NegativeRule]) -> Vec<(ItemId, Vec<u32>)> {
+    let anchors = positive
+        .iter()
+        .map(|r| r.antecedent.items().first().copied())
+        .chain(
+            negative
+                .iter()
+                .map(|r| r.antecedent.items().first().copied()),
+        );
+    index_of(anchors)
+}
+
+/// The index over each rule's anchor, in combined rule-id order. In
+/// canonical order consecutive rules mostly share their anchor, so the
+/// previous rule's entry is tried before the binary search.
+fn index_of(anchors: impl IntoIterator<Item = Option<ItemId>>) -> Vec<(ItemId, Vec<u32>)> {
     let mut index: Vec<(ItemId, Vec<u32>)> = Vec::new();
-    let mut post = |anchor: Option<&ItemId>, rid: u32| {
+    let mut last = 0;
+    for (rid, anchor) in anchors.into_iter().enumerate() {
         // Antecedents are nonempty by construction; an empty one would
         // have been rejected at decode/export validation.
-        let Some(&anchor) = anchor else { return };
-        match index.binary_search_by_key(&anchor, |e| e.0) {
-            Ok(i) => index[i].1.push(rid),
-            Err(i) => index.insert(i, (anchor, vec![rid])),
+        let Some(anchor) = anchor else { continue };
+        if index.get(last).is_none_or(|e| e.0 != anchor) {
+            last = match index.binary_search_by_key(&anchor, |e| e.0) {
+                Ok(i) => i,
+                Err(i) => {
+                    index.insert(i, (anchor, Vec::new()));
+                    i
+                }
+            };
         }
-    };
-    for (i, rule) in positive.iter().enumerate() {
-        post(rule.antecedent.items().first(), i as u32);
-    }
-    for (i, rule) in negative.iter().enumerate() {
-        post(rule.antecedent.items().first(), (positive.len() + i) as u32);
+        index[last].1.push(rid as u32);
     }
     for entry in &mut index {
         entry.1.sort_unstable();
@@ -325,25 +371,34 @@ fn check_digest(recorded: u64, tax: &Taxonomy) -> Result<(), ServeError> {
 
 // ---- framing ----
 
-fn write_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) -> Result<(), ServeError> {
+/// Reserve a frame header for section `tag` at the end of `out`; returns
+/// where the frame starts, for [`end_section`].
+fn begin_section(out: &mut Vec<u8>, tag: u8) -> usize {
+    let start = out.len();
+    out.push(tag);
+    out.extend_from_slice(&[0; FRAME_LEN - 1]);
+    start
+}
+
+/// Patch the frame reserved at `start` for the payload written after it:
+/// the length, the payload CRC, and the CRC of those 9 frame bytes.
+fn end_section(out: &mut [u8], start: usize) -> Result<(), ServeError> {
+    let (frame, payload) = out[start..].split_at_mut(FRAME_LEN);
     if payload.len() > MAX_SECTION as usize {
         return Err(ServeError::Format(format!(
             "section '{}' exceeds {MAX_SECTION} bytes",
-            tag as char
+            frame[0] as char
         )));
     }
-    let frame_start = out.len();
-    out.push(tag);
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(payload));
-    let frame_crc = crc32(&out[frame_start..]);
-    put_u32(out, frame_crc);
-    out.extend_from_slice(payload);
+    frame[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame[5..9].copy_from_slice(&crc32(payload).to_le_bytes());
+    let frame_crc = crc32(&frame[..9]);
+    frame[9..].copy_from_slice(&frame_crc.to_le_bytes());
     Ok(())
 }
 
 fn read_section<'a>(r: &mut Reader<'a>, want_tag: u8) -> Result<&'a [u8], ServeError> {
-    let frame = r.take(13)?;
+    let frame = r.take(FRAME_LEN)?;
     let framed = &frame[..9];
     let frame_crc = u32::from_le_bytes([frame[9], frame[10], frame[11], frame[12]]);
     if crc32(framed) != frame_crc {

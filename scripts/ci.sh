@@ -212,6 +212,27 @@ for threads in 1 4; do
 done
 echo "smoke: bitmap byte-identical to flat, incl. threaded, sharded, full-depth and multi-chunk"
 
+echo "==> snapshot byte pin (NARS bytes of Tall 3k at two confidence levels)"
+# Export orders rules by ranked sides, the writer fills sections in place
+# and CRC-32 runs slicing-by-8; none of it may move a byte. The POSIX
+# cksum values (CRC, length) pin the bytes the itemset-comparing sort and
+# the byte-at-a-time CRC produced. Reuses the Tall 3k dataset above.
+pin_snapshot() {
+  local want="$1"
+  shift
+  "$NEGRULES" export-snapshot --data "$SMOKE/t3k.nadb" --taxonomy "$SMOKE/t3k.txt" \
+    --min-support 0.01 "$@" --out "$SMOKE/t3k-pin.nars" > /dev/null
+  local got
+  got="$(cksum < "$SMOKE/t3k-pin.nars")"
+  if [ "$got" != "$want" ]; then
+    echo "pin: export-snapshot $* wrote cksum '$got', want '$want'" >&2
+    exit 1
+  fi
+}
+pin_snapshot "729409293 26829"
+pin_snapshot "3061926654 79449" --min-conf 0.3
+echo "pin: NARS bytes unchanged at both confidence levels"
+
 echo "==> serve smoke (snapshot export, server vs offline oracle, SIGINT drain)"
 # Mine a small dataset into a versioned snapshot, serve it, answer a
 # scripted basket batch over TCP, and diff the served bytes against the
