@@ -12,7 +12,8 @@
 //!    closure removes all supersets).
 //!
 //! The mined itemsets are identical to [`crate::basic`]; only the work per
-//! pass shrinks. The `ablation_cumulate` benchmark measures the difference.
+//! pass shrinks. `paper ablate` measures the difference (the
+//! `positive_miners` group of `BENCH_ablation.json`).
 
 use crate::count::CountingBackend;
 use crate::itemset::LargeItemsets;

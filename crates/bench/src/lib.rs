@@ -1,6 +1,7 @@
-//! Experiment runners shared by the Criterion benches and the `paper`
-//! binary. Each public function regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index).
+//! Experiment runners behind the `paper` binary. Each public function
+//! regenerates one table or figure of the paper's evaluation, or one
+//! ablation or overhead artifact (see DESIGN.md §4 for the experiment
+//! index).
 //!
 //! Absolute times will differ from the paper's SPARCstation 5; the *shape*
 //! — who wins, how curves move with MinSup and fan-out — is the
@@ -13,7 +14,7 @@ use negassoc::obs::{json_num, Event, NoopSink, Obs, RingBufferSink};
 use negassoc::{Deadline, MinerConfig, NegativeMiner, RunControl};
 use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::parallel::{Parallelism, PassStats};
-use negassoc_apriori::MinSupport;
+use negassoc_apriori::{Itemset, MinSupport};
 use negassoc_datagen::{generate, presets, Dataset, GenParams};
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,6 +85,26 @@ fn miner_config(min_support_pct: f64, driver: Driver) -> MinerConfig {
     }
 }
 
+/// The mining job behind the counting, overhead and serving artifacts:
+/// the improved driver at `min_support` (a fraction), negative itemsets
+/// of at most three items.
+fn bench_config(min_support: f64) -> MinerConfig {
+    MinerConfig {
+        min_support: MinSupport::Fraction(min_support),
+        min_ri: PAPER_MIN_RI,
+        driver: Driver::Improved,
+        max_negative_size: Some(3),
+        ..MinerConfig::default()
+    }
+}
+
+/// A fresh event ring and an observer that records into it: the bench
+/// artifacts are rebuilt from recorded trace events, not a side channel.
+fn recorder() -> (Arc<RingBufferSink>, Obs) {
+    let ring = Arc::new(RingBufferSink::new(EVENT_RING_CAPACITY));
+    (ring.clone(), Obs::disabled().with_sink(ring))
+}
+
 /// Run one Figure 5/6 row over any transaction source.
 ///
 /// Like the paper, the timings cover negative-itemset and rule generation
@@ -116,16 +137,6 @@ pub fn fig56_row_source<S: negassoc_txdb::TransactionSource + ?Sized>(
         negatives: improved_out.negatives.len(),
         rules: improved_out.rules.len(),
     }
-}
-
-/// In-memory convenience wrapper around [`fig56_row_source`].
-pub fn fig56_row(ds: &Dataset, min_support_pct: f64) -> Fig56Row {
-    fig56_row_source(&ds.db, &ds.taxonomy, min_support_pct)
-}
-
-/// Run the full Figure 5/6 sweep in memory.
-pub fn fig56_sweep(ds: &Dataset, supports_pct: &[f64]) -> Vec<Fig56Row> {
-    supports_pct.iter().map(|&s| fig56_row(ds, s)).collect()
 }
 
 /// A dataset spilled to disk in the binary format, mined by streaming —
@@ -294,6 +305,32 @@ pub fn pass_rows_from_events(events: &[Event]) -> Vec<PassStats> {
     rows
 }
 
+/// Join pre-indented JSON items one per line with commas between: the
+/// body of a multi-line array or object (empty when there are none).
+fn json_lines(items: impl Iterator<Item = String>) -> String {
+    let mut out = items.collect::<Vec<_>>().join(",\n");
+    if !out.is_empty() {
+        out.push('\n');
+    }
+    out
+}
+
+/// Render pass rows as the body of a JSON array, one object per line
+/// prefixed by `indent` — the pass-row shape every BENCH artifact shares.
+fn pass_rows_json(rows: &[PassStats], indent: &str) -> String {
+    json_lines(rows.iter().map(|r| {
+        format!(
+            "{indent}{{\"pass\": {}, \"label\": \"{}\", \"candidates\": {}, \
+             \"transactions\": {}, \"wall_s\": {}}}",
+            r.pass,
+            r.label,
+            r.candidates,
+            r.transactions,
+            json_num(r.wall.as_secs_f64(), 6)
+        )
+    }))
+}
+
 /// Collect the wall-second samples named `which` from recorded
 /// [`Event::Sample`]s, in repetition order.
 fn samples_from_events(events: &[Event], which: &str) -> Vec<f64> {
@@ -391,93 +428,57 @@ impl CountingScale {
         self.speedup("bitmap", 4)
     }
 
-    fn json_fragment(&self, indent: &str) -> String {
-        let mut out = format!("{indent}{{\n");
-        out.push_str(&format!(
-            "{indent}  \"transactions\": {},\n",
-            self.transactions
-        ));
-        out.push_str(&format!("{indent}  \"runs\": [\n"));
-        for (i, run) in self.runs.iter().enumerate() {
-            let comma = if i + 1 == self.runs.len() { "" } else { "," };
-            out.push_str(&format!(
-                "{indent}    {{\"backend\": \"{}\", \"threads\": {}, \"total_wall_s\": {}, \
-                 \"passes\": [\n",
+    fn json_fragment(&self) -> String {
+        let runs = json_lines(self.runs.iter().map(|run| {
+            format!(
+                "        {{\"backend\": \"{}\", \"threads\": {}, \"total_wall_s\": {}, \
+                 \"passes\": [\n{}        ]}}",
                 run.backend,
                 run.threads,
-                json_num(run.total_wall().as_secs_f64(), 6)
-            ));
-            for (j, r) in run.rows.iter().enumerate() {
-                let comma = if j + 1 == run.rows.len() { "" } else { "," };
-                out.push_str(&format!(
-                    "{indent}      {{\"pass\": {}, \"label\": \"{}\", \"candidates\": {}, \
-                     \"transactions\": {}, \"wall_s\": {}}}{comma}\n",
-                    r.pass,
-                    r.label,
-                    r.candidates,
-                    r.transactions,
-                    json_num(r.wall.as_secs_f64(), 6)
-                ));
-            }
-            out.push_str(&format!("{indent}    ]}}{comma}\n"));
-        }
-        out.push_str(&format!("{indent}  ],\n"));
+                json_num(run.total_wall().as_secs_f64(), 6),
+                pass_rows_json(&run.rows, "          ")
+            )
+        }));
         let mut threads: Vec<usize> = self.runs.iter().map(|r| r.threads).collect();
+        threads.retain(|&t| t != 1);
         threads.sort_unstable();
         threads.dedup();
-        let backends: Vec<&str> = {
-            let mut seen = Vec::new();
-            for r in &self.runs {
-                if !seen.contains(&r.backend) {
-                    seen.push(r.backend);
-                }
+        let mut backends: Vec<&str> = Vec::new();
+        for r in &self.runs {
+            if !backends.contains(&r.backend) {
+                backends.push(r.backend);
             }
-            seen
-        };
-        out.push_str(&format!(
-            "{indent}  \"speedup_vs_sequential\": {{{}}},\n",
-            backends
-                .iter()
-                .map(|&b| {
-                    let per_thread = threads
-                        .iter()
-                        .filter(|&&t| t != 1)
-                        .map(|&t| {
-                            format!(
-                                "\"{t}\": {}",
-                                json_num(self.speedup(b, t).unwrap_or(f64::NAN), 3)
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    format!("\"{b}\": {{{per_thread}}}")
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!(
-            "{indent}  \"l2_speedup_bitmap_vs_flat\": {},\n",
-            json_num(self.l2_speedup_bitmap_vs_flat().unwrap_or(f64::NAN), 3)
-        ));
-        out.push_str(&format!(
-            "{indent}  \"bitmap_speedup_x4\": {},\n",
-            json_num(self.bitmap_speedup_x4().unwrap_or(f64::NAN), 3)
-        ));
-        out.push_str(&format!("{indent}  \"sharded\": [\n"));
-        for (i, r) in self.sharded.iter().enumerate() {
-            let comma = if i + 1 == self.sharded.len() { "" } else { "," };
-            out.push_str(&format!(
-                "{indent}    {{\"shards\": {}, \"largest_shard\": {}, \"max_pass_candidates\": {}, \
-                 \"wall_s\": {}}}{comma}\n",
+        }
+        let ratio = |x: Option<f64>| json_num(x.unwrap_or(f64::NAN), 3);
+        let speedups: Vec<String> = backends
+            .iter()
+            .map(|&b| {
+                let per_thread: Vec<String> = threads
+                    .iter()
+                    .map(|&t| format!("\"{t}\": {}", ratio(self.speedup(b, t))))
+                    .collect();
+                format!("\"{b}\": {{{}}}", per_thread.join(", "))
+            })
+            .collect();
+        let sharded = json_lines(self.sharded.iter().map(|r| {
+            format!(
+                "        {{\"shards\": {}, \"largest_shard\": {}, \"max_pass_candidates\": {}, \
+                 \"wall_s\": {}}}",
                 r.shards,
                 r.largest_shard,
                 r.max_pass_candidates,
                 json_num(r.wall.as_secs_f64(), 6)
-            ));
-        }
-        out.push_str(&format!("{indent}  ]\n"));
-        out.push_str(&format!("{indent}}}"));
-        out
+            )
+        }));
+        format!(
+            "    {{\n      \"transactions\": {},\n      \"runs\": [\n{runs}      ],\n      \
+             \"speedup_vs_sequential\": {{{}}},\n      \"l2_speedup_bitmap_vs_flat\": {},\n      \
+             \"bitmap_speedup_x4\": {},\n      \"sharded\": [\n{sharded}      ]\n    }}",
+            self.transactions,
+            speedups.join(", "),
+            ratio(self.l2_speedup_bitmap_vs_flat()),
+            ratio(self.bitmap_speedup_x4()),
+        )
     }
 }
 
@@ -501,21 +502,11 @@ impl CountingBench {
     /// [`json_num`], so a non-finite value (e.g. an undefined speedup)
     /// emits `null`, never the illegal bare `NaN`/`inf`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        out.push_str("  \"scales\": [\n");
-        for (i, scale) in self.scales.iter().enumerate() {
-            let comma = if i + 1 == self.scales.len() { "" } else { "," };
-            out.push_str(&scale.json_fragment("    "));
-            out.push_str(comma);
-            out.push('\n');
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        format!(
+            "{{\n  \"available_parallelism\": {},\n  \"scales\": [\n{}  ]\n}}\n",
+            self.available_parallelism,
+            json_lines(self.scales.iter().map(CountingScale::json_fragment))
+        )
     }
 }
 
@@ -537,16 +528,12 @@ pub fn counting_scale(transactions: usize, thread_counts: &[usize]) -> CountingS
             // them: the JSON artifact derives from the same telemetry
             // stream every other consumer sees, not from a privileged
             // side channel.
-            let ring = Arc::new(RingBufferSink::new(EVENT_RING_CAPACITY));
-            let ctrl = RunControl::new().with_observer(Obs::disabled().with_sink(ring.clone()));
+            let (ring, obs) = recorder();
+            let ctrl = RunControl::new().with_observer(obs);
             NegativeMiner::new(MinerConfig {
-                min_support: MinSupport::Fraction(0.015),
-                min_ri: PAPER_MIN_RI,
-                driver: Driver::Improved,
-                max_negative_size: Some(3),
                 parallelism,
                 backend,
-                ..MinerConfig::default()
+                ..bench_config(0.015)
             })
             .mine_with_controls(&ds.db, &ds.taxonomy, None, None, &ctrl)
             .expect("counting bench run");
@@ -584,7 +571,7 @@ pub struct ShardedRow {
 }
 
 /// Run the sharded-counting benchmark: the counting configuration of
-/// [`counting_bench`] once per shard count, with the dataset written as a
+/// [`counting_scale`] once per shard count, with the dataset written as a
 /// checksummed shard manifest and mined through
 /// [`negassoc_txdb::shard::ShardedSource`]. The peak candidate set per
 /// pass is reconstructed from the run's `pass_end` trace events, like
@@ -610,18 +597,12 @@ pub fn sharded_counting_bench(transactions: usize, shard_counts: &[usize]) -> Ve
             .map(|e| e.tx_count)
             .max()
             .unwrap_or(0);
-        let ring = Arc::new(RingBufferSink::new(EVENT_RING_CAPACITY));
-        let ctrl = RunControl::new().with_observer(Obs::disabled().with_sink(ring.clone()));
+        let (ring, obs) = recorder();
+        let ctrl = RunControl::new().with_observer(obs);
         let start = std::time::Instant::now();
-        NegativeMiner::new(MinerConfig {
-            min_support: MinSupport::Fraction(0.015),
-            min_ri: PAPER_MIN_RI,
-            driver: Driver::Improved,
-            max_negative_size: Some(3),
-            ..MinerConfig::default()
-        })
-        .mine_with_controls(&source, &ds.taxonomy, None, None, &ctrl)
-        .expect("sharded counting bench run");
+        NegativeMiner::new(bench_config(0.015))
+            .mine_with_controls(&source, &ds.taxonomy, None, None, &ctrl)
+            .expect("sharded counting bench run");
         let wall = start.elapsed();
         let max_pass_candidates = pass_rows_from_events(&ring.snapshot())
             .iter()
@@ -639,36 +620,361 @@ pub fn sharded_counting_bench(transactions: usize, shard_counts: &[usize]) -> Ve
     rows
 }
 
-/// The control-plane overhead benchmark: the same improved-driver mining
-/// job with no cancel token at all (baseline) and under a fully armed
-/// [`RunControl`] — live watchdog thread, far-future deadline, stall
-/// window, interrupt flag — so every block and pass boundary pays its
-/// token check. The acceptance bar for the run control plane is
-/// `overhead_pct < 2`.
+/// Default scale of `paper ablate`, in transactions.
+pub const ABLATION_TRANSACTIONS: usize = 2_000;
+/// Default support of `paper ablate`, percent. Small test datasets need a
+/// higher floor, or the absolute threshold collapses toward a handful of
+/// transactions and the itemset space explodes.
+pub const ABLATION_SUPPORT_PCT: f64 = 2.0;
+/// Timed repetitions per row of `paper ablate`.
+pub const ABLATION_REPETITIONS: usize = 10;
+
+/// One timed variant of the ablation benchmark.
 #[derive(Clone, Debug)]
-pub struct CtrlBench {
+pub struct AblationRow {
+    /// Row name within its group (`cumulate/fanout_3`, `mixed/flat/4`, …).
+    pub name: String,
+    /// Wall seconds of each repetition, in run order.
+    pub wall_s: Vec<f64>,
+    /// Per-pass telemetry of the last repetition, rebuilt from its
+    /// recorded `pass_end` events.
+    pub passes: Vec<PassStats>,
+}
+
+impl AblationRow {
+    /// Median wall seconds over the repetitions.
+    pub fn median_s(&self) -> f64 {
+        median(&self.wall_s)
+    }
+}
+
+/// The ablation benchmark (`BENCH_ablation.json`): the design choices
+/// DESIGN.md §4 calls out, each timed over repeated runs.
+#[derive(Clone, Debug)]
+pub struct AblationBench {
+    /// Transactions in each generated dataset.
+    pub transactions: usize,
+    /// Minimum support of every row, percent of the database.
+    pub min_support_pct: f64,
+    /// Timed repetitions per row.
+    pub repetitions: usize,
+    /// `(group name, rows)`: `positive_miners`, `counting` and
+    /// `improved_driver`, in run order.
+    pub groups: Vec<(&'static str, Vec<AblationRow>)>,
+}
+
+impl AblationBench {
+    /// Render as a JSON document. Groups and rows are objects keyed by
+    /// name, so one path reads one number (`xtask json-get
+    /// BENCH_ablation.json groups.counting.cumulate/flat.median_s`).
+    pub fn to_json(&self) -> String {
+        let groups = json_lines(self.groups.iter().map(|(group, rows)| {
+            let rows = json_lines(rows.iter().map(|row| {
+                let wall: Vec<String> = row.wall_s.iter().map(|&x| json_num(x, 6)).collect();
+                format!(
+                    "      \"{}\": {{\"median_s\": {}, \"wall_s\": [{}], \"passes\": [\n{}      ]}}",
+                    row.name,
+                    json_num(row.median_s(), 6),
+                    wall.join(", "),
+                    pass_rows_json(&row.passes, "        ")
+                )
+            }));
+            format!("    \"{group}\": {{\n{rows}    }}")
+        }));
+        format!(
+            "{{\n  \"transactions\": {},\n  \"min_support_pct\": {},\n  \"repetitions\": {},\n  \
+             \"groups\": {{\n{groups}  }}\n}}\n",
+            self.transactions,
+            json_num(self.min_support_pct, 3),
+            self.repetitions,
+        )
+    }
+}
+
+/// What an ablation variant answers, in a comparable form: itemsets with
+/// their supports, sorted.
+type Answer = Vec<(Itemset, u64)>;
+
+/// A named ablation variant: one run, recording into the observer it is
+/// handed.
+type Variant<'a> = (String, Box<dyn Fn(&Obs) -> Answer + 'a>);
+
+fn sorted(mut answer: Answer) -> Answer {
+    answer.sort_unstable();
+    answer
+}
+
+fn supports(large: std::io::Result<negassoc_apriori::LargeItemsets>) -> Answer {
+    let large = large.expect("positive mining");
+    sorted(large.iter().map(|(s, c)| (s.clone(), c)).collect())
+}
+
+/// Time each variant `repetitions` times (at least once), every run
+/// recording into a fresh event ring, and assert that all variants give
+/// the same answer: they differ in how the work is done, never in what
+/// it finds.
+fn time_agreeing(variants: Vec<Variant<'_>>, repetitions: usize) -> Vec<AblationRow> {
+    let mut first: Option<Answer> = None;
+    let mut rows: Vec<AblationRow> = Vec::new();
+    for (name, run) in variants {
+        let mut wall_s = Vec::new();
+        let (answer, passes) = loop {
+            let (ring, obs) = recorder();
+            let start = std::time::Instant::now();
+            let answer = run(&obs);
+            wall_s.push(start.elapsed().as_secs_f64());
+            if wall_s.len() >= repetitions {
+                break (answer, pass_rows_from_events(&ring.snapshot()));
+            }
+        };
+        let first = first.get_or_insert_with(|| answer.clone());
+        assert!(*first == answer, "{name} disagrees with {}", rows[0].name);
+        rows.push(AblationRow {
+            name,
+            wall_s,
+            passes,
+        });
+    }
+    rows
+}
+
+/// The positive-miner ablation: Basic, Cumulate, EstMerge and 4-way
+/// Partition on both taxonomies, on the bitmap backend.
+fn positive_miners(transactions: usize, minsup: MinSupport, reps: usize) -> Vec<AblationRow> {
+    use negassoc_apriori::est_merge::{est_merge, EstMergeConfig};
+    use negassoc_apriori::{basic::basic, cumulate::cumulate, partition_mine::partition_mine};
+    use negassoc_txdb::TransactionDb;
+    use CountingBackend::TidBitmap as B;
+    use Parallelism::Sequential as S;
+
+    type Miner = fn(&TransactionDb, &negassoc_taxonomy::Taxonomy, MinSupport, &Obs) -> Answer;
+    let miners: [(&str, Miner); 4] = [
+        ("basic", |db, tax, m, obs| {
+            supports(basic(db, tax, m, B, S, None, obs))
+        }),
+        ("cumulate", |db, tax, m, obs| {
+            supports(cumulate(db, tax, m, B, S, None, obs))
+        }),
+        ("est_merge", |db, tax, m, obs| {
+            let config = EstMergeConfig::default();
+            supports(est_merge(db, tax, m, B, config, S, None, obs).map(|r| r.0))
+        }),
+        ("partition_4", |db, tax, m, obs| {
+            supports(partition_mine(db, Some(tax), m, 4, B, S, None, obs))
+        }),
+    ];
+    let mut rows = Vec::new();
+    for ds in &[
+        short_dataset(Some(transactions)),
+        tall_dataset(Some(transactions)),
+    ] {
+        let variants = miners.map(|(miner, run)| -> Variant<'_> {
+            let name = format!("{miner}/fanout_{}", ds.params.fanout);
+            (
+                name,
+                Box::new(move |obs| run(&ds.db, &ds.taxonomy, minsup, obs)),
+            )
+        });
+        rows.extend(time_agreeing(variants.into(), reps));
+    }
+    rows
+}
+
+/// The counting ablation on the "Short" data: a Cumulate run under each
+/// backend, then one pass over a fixed mixed-size candidate set (every
+/// large itemset, transactions extended by the ancestors the candidates
+/// need) under each backend on 1/2/4 threads.
+fn counting(transactions: usize, minsup: MinSupport, reps: usize) -> Vec<AblationRow> {
+    use negassoc_apriori::cumulate::cumulate;
+    use negassoc_apriori::generalized::AncestorTable;
+    use negassoc_apriori::parallel::{count_mixed_parallel, Extension};
+
+    let ds = short_dataset(Some(transactions));
+    let (db, tax, seq) = (&ds.db, &ds.taxonomy, Parallelism::Sequential);
+    let ancestors = &AncestorTable::new(tax);
+    let bitmap = CountingBackend::TidBitmap;
+    let large = supports(cumulate(
+        db,
+        tax,
+        minsup,
+        bitmap,
+        seq,
+        None,
+        &Obs::disabled(),
+    ));
+    let candidates: &Vec<Itemset> = &large.into_iter().map(|(s, _)| s).collect();
+    let mut variants: Vec<Variant<'_>> = Vec::new();
+    for &(name, backend) in BENCH_BACKENDS {
+        variants.push((
+            format!("cumulate/{name}"),
+            Box::new(move |obs| supports(cumulate(db, tax, minsup, backend, seq, None, obs))),
+        ));
+    }
+    for &(name, backend) in BENCH_BACKENDS {
+        for threads in [1, 2, 4] {
+            let run = move |obs: &Obs| {
+                let start = std::time::Instant::now();
+                let ext = Extension::NeededAncestors(ancestors);
+                let par = Parallelism::Threads(threads);
+                let run =
+                    count_mixed_parallel(db, candidates.clone(), backend, ext, par, None, obs)
+                        .expect("mixed-size count");
+                // A bare counting pass has no miner around it to record
+                // its pass row, so the bench records it.
+                obs.emit(|| Event::PassEnd {
+                    stats: PassStats {
+                        pass: 1,
+                        label: "mixed".to_owned(),
+                        candidates: candidates.len(),
+                        transactions: run.transactions,
+                        threads: run.threads,
+                        wall: start.elapsed(),
+                    },
+                });
+                sorted(run.counts)
+            };
+            variants.push((format!("mixed/{name}/{threads}"), Box::new(run)));
+        }
+    }
+    time_agreeing(variants, reps)
+}
+
+/// The improved-driver ablation on the "Short" data: with and without
+/// taxonomy compression (optimization 1, paper §2.2.2), and under a
+/// 256-candidate §2.5 memory cap. The answer compared is the negative
+/// itemsets with their actual supports.
+fn improved_driver(transactions: usize, minsup: MinSupport, reps: usize) -> Vec<AblationRow> {
+    let ds = &short_dataset(Some(transactions));
+    let base = MinerConfig {
+        min_support: minsup,
+        min_ri: PAPER_MIN_RI,
+        driver: Driver::Improved,
+        ..MinerConfig::default()
+    };
+    let (mut uncompressed, mut capped) = (base, base);
+    uncompressed.compress_taxonomy = false;
+    capped.max_candidates_per_pass = Some(256);
+    let variants = [
+        ("compressed", base),
+        ("uncompressed", uncompressed),
+        ("capped_256", capped),
+    ];
+    let variants = variants.into_iter().map(|(name, config)| -> Variant<'_> {
+        let run = move |obs: &Obs| {
+            let ctrl = RunControl::new().with_observer(obs.clone());
+            let out = NegativeMiner::new(config)
+                .mine_with_controls(&ds.db, &ds.taxonomy, None, None, &ctrl)
+                .expect("improved-driver run");
+            sorted(
+                out.negatives
+                    .iter()
+                    .map(|n| (n.itemset.clone(), n.actual))
+                    .collect(),
+            )
+        };
+        (name.to_owned(), Box::new(run))
+    });
+    time_agreeing(variants.collect(), reps)
+}
+
+/// Run the ablation benchmark on datasets of `transactions` at
+/// `min_support_pct` percent support, `repetitions` timed runs per row.
+pub fn ablation_bench(
+    transactions: usize,
+    min_support_pct: f64,
+    repetitions: usize,
+) -> AblationBench {
+    let minsup = MinSupport::Fraction(min_support_pct / 100.0);
+    let (n, reps) = (transactions, repetitions);
+    AblationBench {
+        transactions,
+        min_support_pct,
+        repetitions: repetitions.max(1),
+        groups: vec![
+            ("positive_miners", positive_miners(n, minsup, reps)),
+            ("counting", counting(n, minsup, reps)),
+            ("improved_driver", improved_driver(n, minsup, reps)),
+        ],
+    }
+}
+
+/// The two overhead benchmarks: the same improved-driver mining job run
+/// as interleaved (baseline, treated) pairs that differ only in what the
+/// treated run carries. Each one's acceptance bar, enforced by
+/// `scripts/bench.sh`, is `overhead_pct < 2`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Overhead {
+    /// The run control plane: the baseline has no cancel token at all;
+    /// the treated run is under a fully armed [`RunControl`] — live
+    /// watchdog thread, far-future deadline, stall window, interrupt
+    /// flag — so every block and pass boundary pays its token check.
+    Ctrl,
+    /// The observability layer: the baseline runs under a plain
+    /// [`RunControl`] (no observer — every emission point is a
+    /// never-evaluated closure); the treated run has a no-op sink
+    /// attached (every event is built, dispatched, and discarded).
+    Obs,
+}
+
+impl Overhead {
+    /// Name of the treated run: its sample name and its JSON key stem
+    /// (`controlled_s`, `median_observed_s`, …).
+    pub fn label(self) -> &'static str {
+        match self {
+            Overhead::Ctrl => "controlled",
+            Overhead::Obs => "observed",
+        }
+    }
+
+    /// The run control of one side of a pair; `None` runs the miner with
+    /// no control at all (`NegativeMiner::mine`).
+    fn control(self, treated: bool) -> Option<RunControl> {
+        match (self, treated) {
+            (Overhead::Ctrl, false) => None,
+            // Far-future triggers: the watchdog thread lives, the token
+            // is checked everywhere, nothing ever fires.
+            (Overhead::Ctrl, true) => Some(
+                RunControl::new()
+                    .with_deadline(Deadline::after(Duration::from_secs(3_600)))
+                    .with_stall_window(Duration::from_secs(3_600))
+                    .with_interrupt_flag(Arc::new(std::sync::atomic::AtomicBool::new(false))),
+            ),
+            (Overhead::Obs, false) => Some(RunControl::new()),
+            (Overhead::Obs, true) => {
+                Some(RunControl::new().with_observer(Obs::disabled().with_sink(Arc::new(NoopSink))))
+            }
+        }
+    }
+}
+
+/// The result of an [`Overhead`] benchmark.
+#[derive(Clone, Debug)]
+pub struct OverheadBench {
+    /// The treated run's name ([`Overhead::label`]).
+    pub label: &'static str,
     /// Transactions in the generated dataset.
     pub transactions: usize,
     /// Timed repetitions per variant (interleaved to share cache state).
     pub repetitions: usize,
-    /// Wall seconds of each baseline (no token) run.
+    /// Wall seconds of each baseline run.
     pub baseline_s: Vec<f64>,
-    /// Wall seconds of each armed-control run.
-    pub controlled_s: Vec<f64>,
+    /// Wall seconds of each treated run.
+    pub treated_s: Vec<f64>,
 }
 
-impl CtrlBench {
+impl OverheadBench {
     /// Reconstruct a bench result from recorded [`Event::Sample`]s
-    /// (names `"baseline"` and `"controlled"`) — the JSON artifact
-    /// derives from the trace record, not a side channel.
-    pub fn from_events(transactions: usize, events: &[Event]) -> Self {
+    /// (names `"baseline"` and `label`) — the JSON artifact derives from
+    /// the trace record, not a side channel.
+    pub fn from_events(label: &'static str, transactions: usize, events: &[Event]) -> Self {
         let baseline_s = samples_from_events(events, "baseline");
-        let controlled_s = samples_from_events(events, "controlled");
+        let treated_s = samples_from_events(events, label);
         Self {
+            label,
             transactions,
-            repetitions: baseline_s.len().max(controlled_s.len()),
+            repetitions: baseline_s.len().max(treated_s.len()),
             baseline_s,
-            controlled_s,
+            treated_s,
         }
     }
 
@@ -677,245 +983,74 @@ impl CtrlBench {
         median(&self.baseline_s)
     }
 
-    /// Median armed-control wall time, seconds.
-    pub fn median_controlled_s(&self) -> f64 {
-        median(&self.controlled_s)
+    /// Median treated wall time, seconds.
+    pub fn median_treated_s(&self) -> f64 {
+        median(&self.treated_s)
     }
 
-    /// Median token-check overhead, percent of the baseline (negative
-    /// means the difference drowned in run-to-run noise).
+    /// Ratio of the medians as an overhead, percent of the baseline
+    /// (negative means the difference drowned in run-to-run noise).
     pub fn overhead_pct(&self) -> f64 {
         let base = self.median_baseline_s();
         if base <= 0.0 {
             return 0.0;
         }
-        (self.median_controlled_s() / base - 1.0) * 100.0
+        (self.median_treated_s() / base - 1.0) * 100.0
     }
 
     /// Render as a JSON document (hand-rolled; the workspace carries no
     /// serializer dependency). Floats route through [`json_num`]:
     /// non-finite values emit `null`, never a bare `NaN`/`inf`.
     pub fn to_json(&self) -> String {
-        let list = |xs: &[f64]| {
-            xs.iter()
-                .map(|&x| json_num(x, 6))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"transactions\": {},\n", self.transactions));
-        out.push_str(&format!("  \"repetitions\": {},\n", self.repetitions));
-        out.push_str(&format!(
-            "  \"baseline_s\": [{}],\n",
-            list(&self.baseline_s)
-        ));
-        out.push_str(&format!(
-            "  \"controlled_s\": [{}],\n",
-            list(&self.controlled_s)
-        ));
-        out.push_str(&format!(
-            "  \"median_baseline_s\": {},\n",
-            json_num(self.median_baseline_s(), 6)
-        ));
-        out.push_str(&format!(
-            "  \"median_controlled_s\": {},\n",
-            json_num(self.median_controlled_s(), 6)
-        ));
-        out.push_str(&format!(
-            "  \"overhead_pct\": {}\n",
-            json_num(self.overhead_pct(), 3)
-        ));
-        out.push_str("}\n");
-        out
+        let list = |xs: &[f64]| xs.iter().map(|&x| json_num(x, 6)).collect::<Vec<_>>();
+        format!(
+            "{{\n  \"transactions\": {},\n  \"repetitions\": {},\n  \"baseline_s\": [{}],\n  \
+             \"{label}_s\": [{}],\n  \"median_baseline_s\": {},\n  \"median_{label}_s\": {},\n  \
+             \"overhead_pct\": {}\n}}\n",
+            self.transactions,
+            self.repetitions,
+            list(&self.baseline_s).join(", "),
+            list(&self.treated_s).join(", "),
+            json_num(self.median_baseline_s(), 6),
+            json_num(self.median_treated_s(), 6),
+            json_num(self.overhead_pct(), 3),
+            label = self.label,
+        )
     }
 }
 
-/// Run the control-plane overhead benchmark on the "Short" dataset scaled
-/// to `transactions`, `repetitions` interleaved pairs of runs.
-pub fn ctrl_bench(transactions: usize, repetitions: usize) -> CtrlBench {
+/// Run an overhead benchmark on the "Short" dataset scaled to
+/// `transactions`: `repetitions` interleaved (baseline, treated) pairs.
+/// Each side builds its run control before the clock starts, and each
+/// pair must agree on the answer.
+pub fn overhead_bench(kind: Overhead, transactions: usize, repetitions: usize) -> OverheadBench {
     let ds = short_dataset(Some(transactions));
-    let config = MinerConfig {
-        min_support: MinSupport::Fraction(0.015),
-        min_ri: PAPER_MIN_RI,
-        driver: Driver::Improved,
-        max_negative_size: Some(3),
-        ..MinerConfig::default()
-    };
-    let miner = NegativeMiner::new(config);
+    let miner = NegativeMiner::new(bench_config(0.015));
+    let label = kind.label();
     // Each repetition is recorded as an `Event::Sample` and the result is
     // rebuilt from the recording, so the JSON artifact and the trace
     // stream can never disagree.
-    let ring = Arc::new(RingBufferSink::new(EVENT_RING_CAPACITY));
-    let recorder = Obs::disabled().with_sink(ring.clone());
+    let (ring, recorder) = recorder();
     for rep in 0..repetitions {
-        let start = std::time::Instant::now();
-        let base = miner.mine(&ds.db, &ds.taxonomy).expect("baseline run");
-        recorder.emit(|| Event::Sample {
-            name: "baseline".to_owned(),
-            index: rep,
-            wall: start.elapsed(),
-        });
-
-        // Far-future triggers: the watchdog thread lives, the token is
-        // checked everywhere, nothing ever fires.
-        let ctrl = RunControl::new()
-            .with_deadline(Deadline::after(Duration::from_secs(3_600)))
-            .with_stall_window(Duration::from_secs(3_600))
-            .with_interrupt_flag(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
-                false,
-            )));
-        let start = std::time::Instant::now();
-        let ctrled = miner
-            .mine_with_controls(&ds.db, &ds.taxonomy, None, None, &ctrl)
-            .expect("controlled run");
-        recorder.emit(|| Event::Sample {
-            name: "controlled".to_owned(),
-            index: rep,
-            wall: start.elapsed(),
-        });
-        assert_eq!(
-            base.rules.len(),
-            ctrled.rules.len(),
-            "control plane changed the answer"
-        );
-    }
-    CtrlBench::from_events(transactions, &ring.snapshot())
-}
-
-/// The observability overhead benchmark: the same improved-driver mining
-/// job under a plain [`RunControl`] (no observer — every emission point
-/// is a never-evaluated closure) and with a no-op sink attached (every
-/// event is built, dispatched, and discarded). The acceptance bar for
-/// the obs layer — enforced by `scripts/bench.sh`, same style as the
-/// armed-token gate — is `overhead_pct < 2`.
-#[derive(Clone, Debug)]
-pub struct ObsBench {
-    /// Transactions in the generated dataset.
-    pub transactions: usize,
-    /// Timed repetitions per variant (interleaved to share cache state).
-    pub repetitions: usize,
-    /// Wall seconds of each no-observer run.
-    pub baseline_s: Vec<f64>,
-    /// Wall seconds of each no-op-sink run.
-    pub observed_s: Vec<f64>,
-}
-
-impl ObsBench {
-    /// Reconstruct a bench result from recorded [`Event::Sample`]s
-    /// (names `"baseline"` and `"observed"`).
-    pub fn from_events(transactions: usize, events: &[Event]) -> Self {
-        let baseline_s = samples_from_events(events, "baseline");
-        let observed_s = samples_from_events(events, "observed");
-        Self {
-            transactions,
-            repetitions: baseline_s.len().max(observed_s.len()),
-            baseline_s,
-            observed_s,
+        let mut rules = [0; 2];
+        for (side, name) in ["baseline", label].into_iter().enumerate() {
+            let ctrl = kind.control(side == 1);
+            let start = std::time::Instant::now();
+            let out = match &ctrl {
+                None => miner.mine(&ds.db, &ds.taxonomy),
+                Some(ctrl) => miner.mine_with_controls(&ds.db, &ds.taxonomy, None, None, ctrl),
+            }
+            .expect("overhead bench run");
+            recorder.emit(|| Event::Sample {
+                name: name.to_owned(),
+                index: rep,
+                wall: start.elapsed(),
+            });
+            rules[side] = out.rules.len();
         }
+        assert_eq!(rules[0], rules[1], "the {label} run changed the answer");
     }
-
-    /// Median no-observer wall time, seconds.
-    pub fn median_baseline_s(&self) -> f64 {
-        median(&self.baseline_s)
-    }
-
-    /// Median no-op-sink wall time, seconds.
-    pub fn median_observed_s(&self) -> f64 {
-        median(&self.observed_s)
-    }
-
-    /// Median emission overhead, percent of the baseline (negative means
-    /// the difference drowned in run-to-run noise).
-    pub fn overhead_pct(&self) -> f64 {
-        let base = self.median_baseline_s();
-        if base <= 0.0 {
-            return 0.0;
-        }
-        (self.median_observed_s() / base - 1.0) * 100.0
-    }
-
-    /// Render as a JSON document; floats route through [`json_num`].
-    pub fn to_json(&self) -> String {
-        let list = |xs: &[f64]| {
-            xs.iter()
-                .map(|&x| json_num(x, 6))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"transactions\": {},\n", self.transactions));
-        out.push_str(&format!("  \"repetitions\": {},\n", self.repetitions));
-        out.push_str(&format!(
-            "  \"baseline_s\": [{}],\n",
-            list(&self.baseline_s)
-        ));
-        out.push_str(&format!(
-            "  \"observed_s\": [{}],\n",
-            list(&self.observed_s)
-        ));
-        out.push_str(&format!(
-            "  \"median_baseline_s\": {},\n",
-            json_num(self.median_baseline_s(), 6)
-        ));
-        out.push_str(&format!(
-            "  \"median_observed_s\": {},\n",
-            json_num(self.median_observed_s(), 6)
-        ));
-        out.push_str(&format!(
-            "  \"overhead_pct\": {}\n",
-            json_num(self.overhead_pct(), 3)
-        ));
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Run the observability overhead benchmark on the "Short" dataset scaled
-/// to `transactions`, `repetitions` interleaved pairs of runs. Both
-/// variants run under the same plain `RunControl` so the comparison
-/// isolates the emission points themselves.
-pub fn obs_bench(transactions: usize, repetitions: usize) -> ObsBench {
-    let ds = short_dataset(Some(transactions));
-    let config = MinerConfig {
-        min_support: MinSupport::Fraction(0.015),
-        min_ri: PAPER_MIN_RI,
-        driver: Driver::Improved,
-        max_negative_size: Some(3),
-        ..MinerConfig::default()
-    };
-    let miner = NegativeMiner::new(config);
-    let ring = Arc::new(RingBufferSink::new(EVENT_RING_CAPACITY));
-    let recorder = Obs::disabled().with_sink(ring.clone());
-    for rep in 0..repetitions {
-        let ctrl = RunControl::new();
-        let start = std::time::Instant::now();
-        let base = miner
-            .mine_with_controls(&ds.db, &ds.taxonomy, None, None, &ctrl)
-            .expect("baseline run");
-        recorder.emit(|| Event::Sample {
-            name: "baseline".to_owned(),
-            index: rep,
-            wall: start.elapsed(),
-        });
-
-        let observed_ctrl =
-            RunControl::new().with_observer(Obs::disabled().with_sink(Arc::new(NoopSink)));
-        let start = std::time::Instant::now();
-        let observed = miner
-            .mine_with_controls(&ds.db, &ds.taxonomy, None, None, &observed_ctrl)
-            .expect("observed run");
-        recorder.emit(|| Event::Sample {
-            name: "observed".to_owned(),
-            index: rep,
-            wall: start.elapsed(),
-        });
-        assert_eq!(
-            base.rules.len(),
-            observed.rules.len(),
-            "the observer changed the answer"
-        );
-    }
-    ObsBench::from_events(transactions, &ring.snapshot())
+    OverheadBench::from_events(label, transactions, &ring.snapshot())
 }
 
 /// The rule-serving benchmark: a snapshot mined from the "Short"
@@ -996,15 +1131,9 @@ pub fn serve_bench(transactions: usize, queries: usize, min_support: f64) -> Ser
     use negassoc_serve::{answer_basket_line, ServeState, Snapshot};
 
     let ds = short_dataset(Some(transactions));
-    let outcome = NegativeMiner::new(MinerConfig {
-        min_support: MinSupport::Fraction(min_support),
-        min_ri: PAPER_MIN_RI,
-        driver: Driver::Improved,
-        max_negative_size: Some(3),
-        ..MinerConfig::default()
-    })
-    .mine(&ds.db, &ds.taxonomy)
-    .expect("serve bench mine");
+    let outcome = NegativeMiner::new(bench_config(min_support))
+        .mine(&ds.db, &ds.taxonomy)
+        .expect("serve bench mine");
     let export = outcome.rule_export(&ds.taxonomy, 0.6, PAPER_MIN_RI);
     let tax = &ds.taxonomy;
     let snap1 = Arc::new(Snapshot::from_export(&export, tax, 1).expect("snapshot v1"));
@@ -1100,7 +1229,7 @@ mod tests {
     #[test]
     fn fig56_row_shapes() {
         let ds = short_dataset(Some(500));
-        let row = fig56_row(&ds, 5.0);
+        let row = fig56_row_source(&ds.db, &ds.taxonomy, 5.0);
         assert_eq!(row.min_support_pct, 5.0);
         assert!(row.large_itemsets > 0);
         // Improved never makes more passes than naive.
@@ -1132,20 +1261,51 @@ mod tests {
         // The rows rebuilt from recorded pass_end events must equal the
         // run's own renumbered pass_stats — same telemetry, two readers.
         let ds = short_dataset(Some(400));
-        let ring = Arc::new(RingBufferSink::new(EVENT_RING_CAPACITY));
-        let ctrl = RunControl::new().with_observer(Obs::disabled().with_sink(ring.clone()));
-        let out = NegativeMiner::new(MinerConfig {
-            min_support: MinSupport::Fraction(0.05),
-            min_ri: PAPER_MIN_RI,
-            driver: Driver::Improved,
-            max_negative_size: Some(3),
-            ..MinerConfig::default()
-        })
-        .mine_with_controls(&ds.db, &ds.taxonomy, None, None, &ctrl)
-        .expect("mining");
+        let (ring, obs) = recorder();
+        let out = NegativeMiner::new(bench_config(0.05))
+            .mine_with_controls(
+                &ds.db,
+                &ds.taxonomy,
+                None,
+                None,
+                &RunControl::new().with_observer(obs),
+            )
+            .expect("mining");
         let rows = pass_rows_from_events(&ring.snapshot());
         assert!(!rows.is_empty());
         assert_eq!(rows, out.report.pass_stats);
+    }
+
+    /// A counting scale whose runs are `(backend, threads, L2 ms)`, each
+    /// with an L1 and an L2 pass row.
+    fn scale(transactions: usize, runs: &[(&'static str, usize, u64)]) -> CountingScale {
+        let pass = |label: &str, ms| PassStats {
+            pass: 1,
+            label: label.to_owned(),
+            candidates: 5,
+            transactions: 10,
+            threads: 1,
+            wall: Duration::from_millis(ms),
+        };
+        let runs = runs.iter().map(|&(backend, threads, l2)| BackendRun {
+            backend,
+            threads,
+            rows: vec![pass("L1", 1), pass("L2", l2)],
+        });
+        CountingScale {
+            transactions,
+            runs: runs.collect(),
+            sharded: Vec::new(),
+        }
+    }
+
+    fn shard(shards: usize, largest_shard: u64) -> ShardedRow {
+        ShardedRow {
+            shards,
+            largest_shard,
+            max_pass_candidates: 5,
+            wall: Duration::from_micros(250),
+        }
     }
 
     #[test]
@@ -1153,31 +1313,13 @@ mod tests {
         // A bench with no sequential run has an undefined speedup, and a
         // bench with no bitmap run has an undefined headline; the
         // document must say `null`, not `NaN`, and still parse.
-        let counting = CountingBench {
+        let mut only_flat_x2 = scale(10, &[("flat", 2, 1)]);
+        only_flat_x2.sharded = vec![shard(4, 3)];
+        let doc = CountingBench {
             available_parallelism: 1,
-            scales: vec![CountingScale {
-                transactions: 10,
-                runs: vec![BackendRun {
-                    backend: "flat",
-                    threads: 2,
-                    rows: vec![PassStats {
-                        pass: 1,
-                        label: "L1".to_owned(),
-                        candidates: 5,
-                        transactions: 10,
-                        threads: 2,
-                        wall: Duration::from_micros(500),
-                    }],
-                }],
-                sharded: vec![ShardedRow {
-                    shards: 4,
-                    largest_shard: 3,
-                    max_pass_candidates: 5,
-                    wall: Duration::from_micros(250),
-                }],
-            }],
-        };
-        let doc = counting.to_json();
+            scales: vec![only_flat_x2],
+        }
+        .to_json();
         assert!(
             doc.contains("\"speedup_vs_sequential\": {\"flat\": {\"2\": null}}"),
             "{doc}"
@@ -1186,55 +1328,118 @@ mod tests {
         assert!(doc.contains("\"bitmap_speedup_x4\": null"), "{doc}");
         xtask::json::parse(&doc).expect("counting json parses");
 
-        let ctrl = CtrlBench {
-            transactions: 10,
-            repetitions: 0,
-            baseline_s: Vec::new(),
-            controlled_s: Vec::new(),
-        };
-        xtask::json::parse(&ctrl.to_json()).expect("ctrl json parses");
+        for kind in [Overhead::Ctrl, Overhead::Obs] {
+            let bench = |baseline_s: Vec<f64>, treated_s| OverheadBench {
+                label: kind.label(),
+                transactions: 10,
+                repetitions: baseline_s.len(),
+                baseline_s,
+                treated_s,
+            };
+            let empty = bench(Vec::new(), Vec::new()).to_json();
+            xtask::json::parse(&empty).expect("empty overhead json parses");
+            let doc = bench(vec![0.5, f64::INFINITY], vec![0.5, 0.6]).to_json();
+            assert!(doc.contains("null"), "inf sample must render null: {doc}");
+            xtask::json::parse(&doc).expect("overhead json parses");
+        }
+    }
 
-        let obs = ObsBench {
-            transactions: 10,
-            repetitions: 2,
-            baseline_s: vec![0.5, f64::INFINITY],
-            observed_s: vec![0.5, 0.6],
-        };
-        let doc = obs.to_json();
-        assert!(doc.contains("null"), "inf sample must render null: {doc}");
-        xtask::json::parse(&doc).expect("obs json parses");
+    /// Every path `scripts/bench.sh` gates on must read as a non-null
+    /// scalar in its writer's output.
+    fn assert_gated(doc: &str, paths: &[&str]) {
+        for path in paths {
+            if let Err(e) = xtask::json::get_scalar(doc, path) {
+                panic!("{path}: {e}\n{doc}");
+            }
+        }
     }
 
     #[test]
     fn sample_events_round_trip_through_from_events() {
-        let wall = |ms| Duration::from_millis(ms);
-        let events = vec![
-            Event::Sample {
-                name: "controlled".to_owned(),
-                index: 1,
-                wall: wall(40),
-            },
-            Event::Sample {
-                name: "baseline".to_owned(),
-                index: 0,
-                wall: wall(10),
-            },
-            Event::Sample {
-                name: "baseline".to_owned(),
-                index: 1,
-                wall: wall(30),
-            },
-            Event::Sample {
-                name: "controlled".to_owned(),
-                index: 0,
-                wall: wall(20),
-            },
+        for kind in [Overhead::Ctrl, Overhead::Obs] {
+            let label = kind.label();
+            let samples = [(label, 1, 40), ("baseline", 0, 10), ("baseline", 1, 30)];
+            let events: Vec<Event> = samples
+                .into_iter()
+                .chain([(label, 0, 20), ("unrelated", 0, 99)])
+                .map(|(name, index, ms)| Event::Sample {
+                    name: name.to_owned(),
+                    index,
+                    wall: Duration::from_millis(ms),
+                })
+                .collect();
+            let bench = OverheadBench::from_events(label, 7, &events);
+            assert_eq!((bench.transactions, bench.repetitions), (7, 2));
+            assert_eq!(bench.baseline_s, vec![0.010, 0.030]);
+            assert_eq!(bench.treated_s, vec![0.020, 0.040]);
+            let doc = bench.to_json();
+            assert_gated(&doc, &["overhead_pct", "median_baseline_s"]);
+            for key in [format!("\"{label}_s\""), format!("\"median_{label}_s\"")] {
+                assert!(doc.contains(&key), "{doc}");
+            }
+        }
+    }
+
+    #[test]
+    fn counting_json_carries_every_gated_path() {
+        let runs = [
+            ("flat", 1, 30),
+            ("flat", 4, 20),
+            ("bitmap", 1, 3),
+            ("bitmap", 4, 2),
         ];
-        let bench = CtrlBench::from_events(7, &events);
-        assert_eq!(bench.transactions, 7);
-        assert_eq!(bench.repetitions, 2);
-        assert_eq!(bench.baseline_s, vec![0.010, 0.030]);
-        assert_eq!(bench.controlled_s, vec![0.020, 0.040]);
+        let mut primary = scale(4_000, &runs);
+        primary.sharded = vec![shard(1, 40), shard(4, 10)];
+        let bench = CountingBench {
+            available_parallelism: 2,
+            scales: vec![primary, scale(100_000, &runs)],
+        };
+        assert_gated(
+            &bench.to_json(),
+            &[
+                "available_parallelism",
+                "scales.-1.transactions",
+                "scales.0.l2_speedup_bitmap_vs_flat",
+                "scales.-1.l2_speedup_bitmap_vs_flat",
+                "scales.0.bitmap_speedup_x4",
+                "scales.0.sharded.1.shards",
+                "scales.0.sharded.1.max_pass_candidates",
+                "scales.0.sharded.1.largest_shard",
+            ],
+        );
+    }
+
+    #[test]
+    fn ablation_bench_carries_every_group_and_row() {
+        // 10% support: at 300 transactions the artifact's 2% is six
+        // transactions, and the Tall itemset space explodes.
+        let doc = ablation_bench(300, 10.0, 1).to_json();
+        let v = xtask::json::parse(&doc).expect("ablation json parses");
+        let mut rows = Vec::new();
+        for miner in ["basic", "cumulate", "est_merge", "partition_4"] {
+            rows.extend([9, 3].map(|f| format!("positive_miners.{miner}/fanout_{f}")));
+        }
+        for backend in ["flat", "bitmap"] {
+            rows.push(format!("counting.cumulate/{backend}"));
+            rows.extend([1, 2, 4].map(|t| format!("counting.mixed/{backend}/{t}")));
+        }
+        rows.extend(
+            ["compressed", "uncompressed", "capped_256"].map(|r| format!("improved_driver.{r}")),
+        );
+        for row in &rows {
+            let at = |key: &str| v.path(&format!("groups.{row}.{key}"));
+            assert!(
+                at("median_s").and_then(|m| m.as_number()).is_some(),
+                "{row}: {doc}"
+            );
+            assert_eq!(
+                at("wall_s").and_then(|w| w.as_array()).map(<[_]>::len),
+                Some(1)
+            );
+            assert!(at("passes.0.wall_s").is_some(), "{row} recorded no passes");
+        }
+        let median_keys = doc.matches("\"median_s\"").count();
+        assert_eq!(median_keys, rows.len(), "unexpected rows: {doc}");
     }
 
     #[test]
@@ -1251,9 +1456,8 @@ mod tests {
                 "antecedent-seeded baskets must match rules"
             );
         }
-        let doc = bench.to_json();
-        xtask::json::parse(&doc).expect("serve json parses");
-        assert!(doc.contains("\"queries_per_sec\""), "{doc}");
+        let gated = ["oracle_agreement", "hot_swap_survived", "queries_per_sec"];
+        assert_gated(&bench.to_json(), &gated);
     }
 
     #[test]

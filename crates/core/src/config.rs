@@ -61,7 +61,7 @@ pub struct MinerConfig {
     /// Improved-driver optimization 1 (delete small 1-items from the
     /// taxonomy before candidate generation). Disabling it changes nothing
     /// about the output — only the work done; exposed for the ablation
-    /// benchmark.
+    /// benchmark (`paper ablate`, group `improved_driver`).
     pub compress_taxonomy: bool,
     /// Cap on the size of negative itemsets considered (`None` = up to the
     /// largest large itemset). The number of candidates is exponential in

@@ -9,8 +9,7 @@
 //! ([`crate::expected`]); the two techniques are duals — R-interest keeps
 //! positive rules that *beat* the expectation, the negative miner keeps
 //! itemsets that *fall short* of it. Implementing both makes the
-//! comparison concrete (see the `retail_taxonomy` example and the
-//! `ablation` benches).
+//! comparison concrete (see the `retail_taxonomy` example).
 
 use crate::error::NegAssocError;
 use crate::expected::{approx_ge, expected_support, support_to_f64, Ratio};

@@ -161,6 +161,27 @@ impl Value {
         }
     }
 
+    /// Follow a dot-separated `path`: each segment is an object key, or,
+    /// on an array, a 0-based index where a negative index counts from
+    /// the end (`-1` is the last element). `None` when a segment is
+    /// missing or steps into a scalar.
+    pub fn path(&self, path: &str) -> Option<&Value> {
+        path.split('.').try_fold(self, |v, seg| match v {
+            Value::Array(items) => {
+                let i: i64 = seg.parse().ok()?;
+                let idx = if i < 0 {
+                    items
+                        .len()
+                        .checked_sub(usize::try_from(i.unsigned_abs()).ok()?)?
+                } else {
+                    usize::try_from(i).ok()?
+                };
+                items.get(idx)
+            }
+            _ => v.get(seg),
+        })
+    }
+
     /// Compact single-line emission; `parse(emit(v)) == v` for every
     /// value the workspace builds (numbers emit with enough precision to
     /// round-trip the integer counters).
@@ -206,6 +227,24 @@ impl Value {
                 out.push('}');
             }
         }
+    }
+}
+
+/// `xtask json-get`: the scalar at `path` (see [`Value::path`]) in the
+/// JSON document `text`, rendered for a shell: numbers in shortest
+/// round-trip form (`28.036`, `4000`), booleans as `true`/`false`,
+/// strings unquoted. A missing path, `null` and non-scalars are errors,
+/// so a gate reading a renamed or undefined field fails instead of
+/// comparing against an empty string.
+pub fn get_scalar(text: &str, path: &str) -> Result<String, String> {
+    let doc = parse(text).map_err(|e| e.to_string())?;
+    match doc.path(path) {
+        None => Err("no value at the path".into()),
+        Some(Value::Null) => Err("the value is null".into()),
+        Some(Value::Bool(b)) => Ok(b.to_string()),
+        Some(Value::Number(n)) => Ok(n.to_string()),
+        Some(Value::String(s)) => Ok(s.clone()),
+        Some(_) => Err("the value is an array or object, not a scalar".into()),
     }
 }
 
@@ -554,5 +593,39 @@ mod tests {
         let doc = render(&one);
         assert!(doc.contains("\"L001\": 1"));
         assert!(doc.contains("\"line\": 3"));
+    }
+
+    #[test]
+    fn get_scalar_reads_keys_indices_and_negative_indices() {
+        let doc = r#"{"cores": 2, "ok": true, "name": "flat", "nil": null,
+            "scales": [{"l2": 28.036, "n": 4000}, {"l2": 9.504, "runs": [1]}]}"#;
+        let get = |path| get_scalar(doc, path);
+        assert_eq!(get("cores").as_deref(), Ok("2"));
+        assert_eq!(get("ok").as_deref(), Ok("true"));
+        assert_eq!(get("name").as_deref(), Ok("flat"));
+        assert_eq!(get("scales.0.l2").as_deref(), Ok("28.036"));
+        assert_eq!(get("scales.0.n").as_deref(), Ok("4000"));
+        assert_eq!(get("scales.-1.l2").as_deref(), Ok("9.504"));
+        assert_eq!(get("scales.-2.l2").as_deref(), Ok("28.036"));
+        assert_eq!(get("scales.1.runs.-1").as_deref(), Ok("1"));
+        for missing in [
+            "nope",
+            "cores.x",
+            "scales.2.l2",
+            "scales.-3.l2",
+            "scales.x.l2",
+            "",
+        ] {
+            assert_eq!(
+                get(missing),
+                Err("no value at the path".into()),
+                "{missing:?}"
+            );
+        }
+        assert_eq!(get("nil"), Err("the value is null".into()));
+        for composite in ["scales", "scales.0", "scales.1.runs"] {
+            assert!(get(composite).unwrap_err().contains("not a scalar"));
+        }
+        assert!(get_scalar("{\"a\": ", "a").unwrap_err().contains("line 1"));
     }
 }

@@ -1,11 +1,12 @@
 //! `cargo run -p xtask -- analyze` — the workspace static analyzer —
 //! plus `validate-json`, the schema-free checker for every JSON document
-//! the workspace emits.
+//! the workspace emits, and `json-get`, the field reader the bench gates
+//! use.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "xtask <analyze|validate-json|help> [options]
+const USAGE: &str = "xtask <analyze|validate-json|json-get|help> [options]
 
   analyze        run the L001-L013 invariant lints over the workspace
                  (token lints L001-L009, cross-file flow lints L010-L013)
@@ -29,6 +30,13 @@ const USAGE: &str = "xtask <analyze|validate-json|help> [options]
                  --lines      JSON-lines mode: one document per line,
                               as written by `negrules … --trace FILE`
 
+  json-get       print the scalar at PATH in the JSON document FILE
+                 FILE PATH    PATH is dot-separated keys and array
+                              indices; a negative index counts from the
+                              end (scales.-1.l2_speedup_bitmap_vs_flat)
+                 exit codes: 0 = printed, 1 = unparseable document,
+                 missing path, null or non-scalar, 2 = usage or I/O error
+
 Findings are suppressed by a justification comment on the same or the
 preceding line:  // negassoc-lint: allow(L00x) -- reason
 (L013 fails reasonless or stale allows), or grandfathered in
@@ -39,6 +47,7 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("analyze") => analyze(args.collect()),
         Some("validate-json") => validate_json(args.collect()),
+        Some("json-get") => json_get(args.collect()),
         Some("help") | Some("--help") | Some("-h") | None => {
             println!("{USAGE}");
             ExitCode::SUCCESS
@@ -67,12 +76,9 @@ fn validate_json(args: Vec<String>) -> ExitCode {
         eprintln!("error: validate-json needs a file\n\n{USAGE}");
         return ExitCode::from(2);
     };
-    let text = match std::fs::read_to_string(&file) {
+    let text = match read(&file) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {file}: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let outcome = if lines {
         xtask::json::parse_lines(&text).map(|docs| format!("{} documents", docs.len()))
@@ -86,6 +92,35 @@ fn validate_json(args: Vec<String>) -> ExitCode {
         }
         Err(e) => {
             eprintln!("error: {file}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Read a document, reporting an I/O failure as a usage-class exit (2).
+fn read(file: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(file).map_err(|e| {
+        eprintln!("error: {file}: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn json_get(args: Vec<String>) -> ExitCode {
+    let [file, path] = args.as_slice() else {
+        eprintln!("error: json-get needs FILE and PATH\n\n{USAGE}");
+        return ExitCode::from(2);
+    };
+    let text = match read(file) {
+        Ok(t) => t,
+        Err(code) => return code,
+    };
+    match xtask::json::get_scalar(&text, path) {
+        Ok(value) => {
+            println!("{value}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {file}: {path}: {e}");
             ExitCode::FAILURE
         }
     }
