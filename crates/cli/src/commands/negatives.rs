@@ -9,7 +9,7 @@ use crate::io::{load_db_observed, load_manifest_observed, load_taxonomy};
 use crate::opts::{parse_bytes, Opts};
 use crate::signal;
 use negassoc::config::{Driver, GenAlgorithm};
-use negassoc::obs::{JsonLinesSink, Metrics, Obs, RingBufferSink, TraceSink};
+use negassoc::obs::{FanoutSink, JsonLinesSink, Metrics, Obs, RingBufferSink, TraceSink};
 use negassoc::{Deadline, Error, MinerConfig, NegativeMiner, RunControl};
 use negassoc_apriori::MinSupport;
 use negassoc_txdb::fault::{FaultPlan, FaultySource, SourceFault, SourceFaultKind};
@@ -50,6 +50,58 @@ const KNOWN: &[&str] = &[
 /// (`--pass-stats` on interrupted runs). Plenty for any realistic pass
 /// count; the JSON-lines file, when requested, keeps everything.
 const RING_CAPACITY: usize = 4096;
+
+/// The run's observer plus the sinks its end-of-run report reads.
+struct Observer {
+    obs: Obs,
+    /// Recent events, so an interrupted `--pass-stats` can list the passes
+    /// that completed.
+    ring: Arc<RingBufferSink>,
+    /// The `--trace` path and its JSON-lines sink.
+    trace: Option<(String, Arc<JsonLinesSink>)>,
+    /// The `--metrics` registry (attached only when `metrics` is set).
+    metrics: Arc<Metrics>,
+}
+
+/// Build the observer: a JSON-lines trace file (`trace`), the in-memory
+/// event ring (`ring`) and a metrics registry (`metrics`). With both a
+/// trace file and the ring, one [`FanoutSink`] feeds the two, so each
+/// sees every event. All are off by default — the no-op observer costs
+/// nothing on the hot path (see DESIGN.md §11).
+fn observer(trace: Option<&str>, ring: bool, metrics: bool) -> Result<Observer, CliError> {
+    let ring_sink = Arc::new(RingBufferSink::new(RING_CAPACITY));
+    let trace = match trace {
+        Some(path) => {
+            let sink = JsonLinesSink::create(path)
+                .map_err(|e| CliError::Failure(format!("{path}: {e}")))?;
+            Some((path.to_string(), Arc::new(sink)))
+        }
+        None => None,
+    };
+    let sink: Option<Arc<dyn TraceSink>> = match (&trace, ring) {
+        (Some((_, json)), true) => Some(Arc::new(FanoutSink::new(vec![
+            ring_sink.clone(),
+            json.clone(),
+        ]))),
+        (Some((_, json)), false) => Some(json.clone()),
+        (None, true) => Some(ring_sink.clone()),
+        (None, false) => None,
+    };
+    let mut obs = Obs::disabled();
+    if let Some(sink) = sink {
+        obs = obs.with_sink(sink);
+    }
+    let registry = Arc::new(Metrics::new());
+    if metrics {
+        obs = obs.with_metrics(registry.clone());
+    }
+    Ok(Observer {
+        obs,
+        ring: ring_sink,
+        trace,
+        metrics: registry,
+    })
+}
 
 /// Parse a non-negative, finite seconds value (`--deadline`,
 /// `--stall-timeout`) into a [`Duration`]; anything else is a usage error.
@@ -124,31 +176,16 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
     let parallelism = parse_parallelism(&opts).map_err(CliError::Usage)?;
     let backend = parse_backend(&opts).map_err(CliError::Usage)?;
 
-    // The observer: a JSON-lines trace file (--trace), a metrics registry
-    // (--metrics), and an in-memory event ring that lets --pass-stats
-    // report completed passes even when the run is interrupted. All three
-    // are off by default — the no-op observer costs nothing on the hot
-    // path (see DESIGN.md §11).
-    let mut obs = Obs::disabled();
-    let ring = Arc::new(RingBufferSink::new(RING_CAPACITY));
-    if opts.get("trace").is_some() || opts.flag("metrics") || opts.flag("pass-stats") {
-        obs = obs.with_sink(ring.clone());
-    }
-    let trace_sink = match opts.get("trace") {
-        Some(path) => {
-            let sink = Arc::new(
-                JsonLinesSink::create(path)
-                    .map_err(|e| CliError::Failure(format!("{path}: {e}")))?,
-            );
-            obs = obs.with_sink(sink.clone());
-            Some((path.to_string(), sink))
-        }
-        None => None,
-    };
-    let metrics = Arc::new(Metrics::new());
-    if opts.flag("metrics") {
-        obs = obs.with_metrics(metrics.clone());
-    }
+    let Observer {
+        obs,
+        ring,
+        trace: trace_sink,
+        metrics,
+    } = observer(
+        opts.get("trace"),
+        opts.flag("pass-stats") || opts.flag("metrics"),
+        opts.flag("metrics"),
+    )?;
 
     // Options validated; only now touch the filesystem.
     let db = match (opts.get("data"), opts.get("manifest")) {
@@ -385,4 +422,45 @@ fn write_rules_csv(
         w.flush()
     })()
     .map_err(|e| format!("{path}: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use negassoc::obs::Event;
+    use negassoc::PassStats;
+
+    #[test]
+    fn trace_and_pass_stats_both_see_every_pass_end() {
+        let path =
+            std::env::temp_dir().join(format!("negrules-observer-{}.jsonl", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        let observer = observer(Some(path_str), true, false).unwrap();
+        observer.obs.emit(|| Event::PassEnd {
+            stats: PassStats {
+                pass: 1,
+                label: "L1".into(),
+                candidates: 3,
+                transactions: 10,
+                threads: 1,
+                wall: Duration::from_millis(1),
+            },
+        });
+        observer.obs.flush();
+
+        let ring_ends = observer
+            .ring
+            .snapshot()
+            .iter()
+            .filter(|e| matches!(e, Event::PassEnd { .. }))
+            .count();
+        assert_eq!(ring_ends, 1, "the --pass-stats ring saw the pass end");
+        let trace = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            trace.matches("\"event\":\"pass_end\"").count(),
+            1,
+            "the --trace file saw the pass end: {trace}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }

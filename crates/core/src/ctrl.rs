@@ -16,8 +16,8 @@
 //! checkpoint, completeness }` and never partial counts. Every completed
 //! pass was already checkpointed durably (the PR 2 NACK envelope), so
 //! interrupt-to-checkpoint costs nothing extra at cancellation time, and a
-//! subsequent [`crate::NegativeMiner::mine_with_recovery`] resumes to
-//! byte-identical output.
+//! subsequent [`crate::NegativeMiner::mine_with_controls`] with the same
+//! checkpoint directory resumes to byte-identical output.
 
 pub use negassoc_txdb::ctrl::{
     cancellation_of, CancelReason, CancelToken, Cancellation, Deadline, Watchdog,

@@ -39,7 +39,7 @@ pub enum Error {
         /// Why the run's [`crate::ctrl::CancelToken`] was tripped.
         reason: CancelReason,
         /// Directory holding the resumable checkpoint, when one exists
-        /// (pass it back to [`crate::NegativeMiner::mine_with_recovery`]).
+        /// (pass it back to [`crate::NegativeMiner::mine_with_controls`]).
         checkpoint: Option<PathBuf>,
         /// How far the run's durable state reaches.
         completeness: Completeness,

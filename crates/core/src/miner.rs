@@ -142,47 +142,6 @@ impl NegativeMiner {
         self.mine_inner(source, tax, substitutes, None, None, &Obs::disabled())
     }
 
-    /// Mine with checkpoint/resume: after every completed database pass
-    /// the run's state is persisted (checksummed) under `checkpoint_dir`,
-    /// and a previous interrupted run with the same configuration,
-    /// taxonomy and database resumes from its last completed pass instead
-    /// of starting over. On success the directory's checkpoint files are
-    /// removed.
-    ///
-    /// Damaged or parameter-mismatched checkpoint files are never trusted:
-    /// the run silently falls back to an older checkpoint or a fresh
-    /// start. Requires the improved driver; with EstMerge only the
-    /// negative phase (candidates awaiting their counting pass) is
-    /// checkpointed, because EstMerge has no per-level stepping.
-    pub fn mine_with_recovery<S: TransactionSource + ?Sized>(
-        &self,
-        source: &S,
-        tax: &Taxonomy,
-        substitutes: Option<&SubstituteKnowledge>,
-        checkpoint_dir: &Path,
-    ) -> Result<MiningOutcome, Error> {
-        self.config.validate()?;
-        if self.config.driver != Driver::Improved {
-            return Err(Error::Config(
-                "checkpoint/resume requires the improved driver \
-                 (the naive driver interleaves phases per level)"
-                    .into(),
-            ));
-        }
-        let manager = CheckpointManager::new(checkpoint_dir, &self.config, tax, source.len_hint())?
-            .with_source_digest(source.content_digest());
-        let outcome = self.mine_inner(
-            source,
-            tax,
-            substitutes,
-            Some(&manager),
-            None,
-            &Obs::disabled(),
-        )?;
-        manager.clear()?;
-        Ok(outcome)
-    }
-
     /// Mine under a [`RunControl`]: the run stops cooperatively — at the
     /// next pass, level, or block boundary — when the control's token is
     /// cancelled by a user interrupt, an expired deadline, or the stall
@@ -190,13 +149,16 @@ impl NegativeMiner {
     /// checkpoint directory (when one survives) and an explicit
     /// [`Completeness`] status. No partial counts escape a cancelled run.
     ///
-    /// With `checkpoint_dir` set this behaves like
-    /// [`Self::mine_with_recovery`] (improved driver required): every
-    /// completed pass is durably checkpointed, so a cancelled run can be
-    /// resumed — by calling this again or `mine_with_recovery` with the
-    /// same directory — to byte-identical output. Without a directory,
-    /// cancellation simply abandons the run
-    /// ([`Completeness::NoCheckpoint`]).
+    /// With `checkpoint_dir` set (improved driver required) the run's
+    /// state is persisted, checksummed, after every completed pass, so a
+    /// cancelled or failed run resumes — by calling this again with the
+    /// same configuration, taxonomy, database and directory — from its
+    /// last completed pass to byte-identical output; success removes the
+    /// checkpoint files. Damaged or mismatched checkpoints are never
+    /// trusted: the run falls back to an older one or a fresh start. With
+    /// EstMerge only the negative phase is checkpointed, because EstMerge
+    /// has no per-level stepping. Without a directory, cancellation
+    /// simply abandons the run ([`Completeness::NoCheckpoint`]).
     pub fn mine_with_controls<S: TransactionSource + ?Sized>(
         &self,
         source: &S,
@@ -468,14 +430,17 @@ mod tests {
                 kind: SourceFaultKind::PermanentError,
             }]),
         );
-        let interrupted = miner.mine_with_recovery(&faulty, &tax, None, &dir);
+        let interrupted =
+            miner.mine_with_controls(&faulty, &tax, None, Some(&dir), &RunControl::new());
         assert!(interrupted.is_err());
         // The level-1 checkpoint survived the crash.
         assert!(dir.join("pass-0002.nack").exists());
 
         // Restart against the healthy database: resumes, finishes, and
         // agrees with the uninterrupted run in full.
-        let resumed = miner.mine_with_recovery(&db, &tax, None, &dir).unwrap();
+        let resumed = miner
+            .mine_with_controls(&db, &tax, None, Some(&dir), &RunControl::new())
+            .unwrap();
         let norm_rules = |out: &MiningOutcome| {
             let mut v: Vec<(
                 Vec<negassoc_taxonomy::ItemId>,
@@ -514,7 +479,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("negassoc-miner-naive-ckpt-{}", std::process::id()));
         assert!(matches!(
-            miner.mine_with_recovery(&db, &tax, None, &dir),
+            miner.mine_with_controls(&db, &tax, None, Some(&dir), &RunControl::new()),
             Err(Error::Config(_))
         ));
         std::fs::remove_dir_all(&dir).ok();

@@ -14,8 +14,6 @@
 //! * [`taxgen`] — Poisson-fanout taxonomy generation,
 //! * [`nested_logit`] — clusters, per-cluster itemsets, and weights,
 //! * [`generator`] — transaction synthesis,
-//! * [`quest`] — the flat Quest-style generator of Agrawal & Srikant
-//!   (VLDB '94) as a taxonomy-free cross-check,
 //! * [`presets`] — the paper's "Short" (fanout 9) and "Tall" (fanout 3)
 //!   datasets (Table 4), plus scaled-down variants for tests.
 //!
@@ -26,7 +24,6 @@ pub mod generator;
 pub mod nested_logit;
 pub mod params;
 pub mod presets;
-pub mod quest;
 pub mod sharding;
 pub mod taxgen;
 

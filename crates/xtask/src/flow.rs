@@ -22,8 +22,7 @@
 //! * **L013** — every allow directive must carry a `-- reason` and must
 //!   still suppress at least one finding per listed id; stale ids and
 //!   reasonless directives are findings. L013 itself cannot be allowed
-//!   away (an allow that excuses allow-hygiene is a contradiction), but
-//!   the baseline still applies.
+//!   away (an allow that excuses allow-hygiene is a contradiction).
 
 use crate::graph::CallGraph;
 use crate::items::SymbolTable;
@@ -48,7 +47,7 @@ fn l012_exempt(path: &str) -> bool {
 }
 
 /// Run L010–L012 over the table/graph. Findings come back unsuppressed;
-/// the caller routes them through `apply_allows` and the baseline.
+/// the caller routes them through `apply_allows`.
 pub fn flow_lints(table: &SymbolTable, graph: &CallGraph) -> Vec<Finding> {
     let mut findings = Vec::new();
     let polls_transitively = graph.propagate_to_callers(

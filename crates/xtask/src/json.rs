@@ -30,8 +30,8 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Render an analysis as a JSON document: findings (with severity),
-/// per-lint counts, and the scan/cache/walk accounting.
+/// Render an analysis as a JSON document: the scan and walk accounting,
+/// deny/warn totals, findings (with severity) and per-lint counts.
 pub fn render(analysis: &Analysis) -> String {
     let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
     for f in &analysis.findings {
@@ -58,12 +58,6 @@ pub fn render(analysis: &Analysis) -> String {
     } else {
         out.push_str("\n  },\n");
     }
-    let _ = writeln!(
-        out,
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}}},",
-        analysis.cache_hits, analysis.cache_misses
-    );
-    let _ = writeln!(out, "  \"baselined\": {},", analysis.baselined);
     let _ = writeln!(
         out,
         "  \"deny\": {}, \"warn\": {},",
@@ -180,53 +174,6 @@ impl Value {
             }
             _ => v.get(seg),
         })
-    }
-
-    /// Compact single-line emission; `parse(emit(v)) == v` for every
-    /// value the workspace builds (numbers emit with enough precision to
-    /// round-trip the integer counters).
-    pub fn emit(&self) -> String {
-        let mut out = String::new();
-        self.emit_into(&mut out);
-        out
-    }
-
-    fn emit_into(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Value::String(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
-            }
-            Value::Array(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.emit_into(out);
-                }
-                out.push(']');
-            }
-            Value::Object(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":", escape(k));
-                    v.emit_into(out);
-                }
-                out.push('}');
-            }
-        }
     }
 }
 
@@ -455,8 +402,8 @@ impl Parser<'_> {
                 Some(_) => {
                     // Consume a run of plain characters in one slice —
                     // per-char validation of the remaining input made
-                    // parsing quadratic on megabyte documents (the
-                    // analyze cache). `"`, `\` and control bytes never
+                    // parsing quadratic on megabyte documents (a long
+                    // trace). `"`, `\` and control bytes never
                     // occur inside a multi-byte UTF-8 sequence, so the
                     // run always ends on a char boundary; the input
                     // arrived as a `&str`, so the run itself is valid.

@@ -18,14 +18,12 @@
 //!   lines for no additional signal.
 //! * **Suppressable with a paper trail.** Any finding can be allowed with
 //!   `// negassoc-lint: allow(L00x) -- reason` (L013 checks that the
-//!   reason exists and the allow still earns its keep), or grandfathered
-//!   in the checked-in [`baseline`] file.
-//! * **Incremental.** Per-file work is cached by content hash
-//!   ([`cache`]); the cross-file passes are pure in-memory and cheap, so
-//!   a warm `analyze` stays sub-second in CI.
+//!   reason exists and the allow still earns its keep); nothing else
+//!   suppresses a finding.
+//! * **One pass, no state.** Every run walks, lexes, lints and parses
+//!   every file, then runs the cross-file stage; nothing is kept between
+//!   runs, so a report depends only on the tree.
 
-pub mod baseline;
-pub mod cache;
 pub mod flow;
 pub mod graph;
 pub mod items;
@@ -35,7 +33,6 @@ pub mod lints;
 pub mod parser;
 pub mod walk;
 
-use cache::{Cache, FileRecord};
 use graph::CallGraph;
 use items::SymbolTable;
 use lints::{Finding, Severity};
@@ -45,10 +42,8 @@ use std::path::Path;
 /// Result of analyzing a tree: findings plus scan accounting.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// All unsuppressed, non-baselined findings, in (path, line) order.
+    /// All unsuppressed findings, in (path, line) order.
     pub findings: Vec<Finding>,
-    /// Findings subtracted by the baseline file.
-    pub baselined: usize,
     /// Files lexed and linted.
     pub files_scanned: usize,
     /// Files classified `Library`.
@@ -57,10 +52,6 @@ pub struct Analysis {
     pub test_support_files: usize,
     /// Directory name → times the walker skipped it.
     pub skipped_dirs: BTreeMap<String, usize>,
-    /// Files served from the incremental cache.
-    pub cache_hits: usize,
-    /// Files that had to be re-lexed and re-parsed.
-    pub cache_misses: usize,
 }
 
 impl Analysis {
@@ -78,24 +69,6 @@ impl Analysis {
     }
 }
 
-/// Knobs for [`analyze_workspace_opts`].
-#[derive(Clone, Copy, Debug)]
-pub struct AnalyzeOptions {
-    /// Read/write the content-hash cache under `target/xtask/`.
-    pub use_cache: bool,
-    /// Subtract the checked-in baseline file.
-    pub use_baseline: bool,
-}
-
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            use_cache: true,
-            use_baseline: true,
-        }
-    }
-}
-
 /// One in-memory source file for [`analyze_sources`].
 #[derive(Clone, Debug)]
 pub struct SourceInput<'a> {
@@ -107,143 +80,86 @@ pub struct SourceInput<'a> {
     pub class: lints::FileClass,
 }
 
-/// Analyze every workspace source file under `root` with default
-/// options (cache and baseline on).
+/// Analyze every workspace source file under `root`: read each walked
+/// file and run it through [`analyze_sources`].
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
-    analyze_workspace_opts(root, AnalyzeOptions::default())
-}
-
-/// Analyze every workspace source file under `root`.
-pub fn analyze_workspace_opts(root: &Path, opts: AnalyzeOptions) -> std::io::Result<Analysis> {
     let walked = walk::collect(root)?;
-    let cache_file = cache::cache_path(root);
-    let mut cache = if opts.use_cache {
-        Cache::load(&cache_file)
-    } else {
-        Cache::default()
-    };
-
-    let mut analysis = Analysis {
+    let sources = walked
+        .files
+        .iter()
+        .map(|file| std::fs::read_to_string(&file.path))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let inputs: Vec<SourceInput<'_>> = walked
+        .files
+        .iter()
+        .zip(&sources)
+        .map(|(file, source)| SourceInput {
+            rel: &file.rel,
+            source,
+            class: file.class,
+        })
+        .collect();
+    Ok(Analysis {
+        findings: analyze_sources(&inputs),
+        files_scanned: inputs.len(),
         library_files: walked.library_count(),
         test_support_files: walked.test_support_count(),
-        skipped_dirs: walked.skipped_dirs.clone(),
-        ..Analysis::default()
-    };
-
-    // Per-file stage, cacheable: lex + token lints + item parse.
-    let mut fresh = Cache::default();
-    let mut per_file: Vec<(walk::SourceFile, FileRecord)> = Vec::new();
-    for file in walked.files {
-        let source = std::fs::read_to_string(&file.path)?;
-        let hash = cache::fnv1a(source.as_bytes());
-        let record = match cache.files.remove(&file.rel) {
-            Some(rec) if rec.hash == hash => {
-                analysis.cache_hits += 1;
-                rec
-            }
-            _ => {
-                analysis.cache_misses += 1;
-                let lexed = lexer::lex(&source);
-                FileRecord {
-                    hash,
-                    findings: lints::lint_file(&file.rel, &lexed, file.class),
-                    directives: lexed.allows.clone(),
-                    facts: parser::parse(&lexed),
-                }
-            }
-        };
-        fresh.files.insert(file.rel.clone(), record.clone());
-        analysis.files_scanned += 1;
-        per_file.push((file, record));
-    }
-    if opts.use_cache {
-        fresh.store(&cache_file);
-    }
-
-    analysis.findings = cross_file_pipeline(&per_file);
-
-    if opts.use_baseline {
-        let baseline = baseline::load(root);
-        let (kept, baselined) = baseline::filter(std::mem::take(&mut analysis.findings), &baseline);
-        analysis.findings = kept;
-        analysis.baselined = baselined;
-    }
-    Ok(analysis)
+        skipped_dirs: walked.skipped_dirs,
+    })
 }
 
-/// The cross-file stage shared by the workspace walk and the in-memory
-/// [`analyze_sources`]: flow lints over the symbol table, per-file
-/// suppression, then allow hygiene (L013).
-fn cross_file_pipeline(per_file: &[(walk::SourceFile, FileRecord)]) -> Vec<Finding> {
+/// Run the **full** pipeline over in-memory sources: per file, lex, run
+/// the token lints and parse items; then the cross-file stage (flow
+/// lints over the library symbol table, per-file suppression, allow
+/// hygiene L013). [`analyze_workspace`] feeds it the walked tree; the
+/// fixture and mutation tests feed it strings.
+pub fn analyze_sources(inputs: &[SourceInput<'_>]) -> Vec<Finding> {
+    let mut token_findings = Vec::new();
+    let mut directives = Vec::with_capacity(inputs.len());
     // Symbol table from library files only (test helpers must not lend
     // poll/emit credit or receive flow findings).
-    let library_facts: Vec<(String, parser::FileFacts)> = per_file
-        .iter()
-        .filter(|(f, _)| f.class == lints::FileClass::Library)
-        .map(|(f, rec)| (f.rel.clone(), rec.facts.clone()))
-        .collect();
+    let mut library_facts: Vec<(String, parser::FileFacts)> = Vec::new();
+    for input in inputs {
+        let lexed = lexer::lex(input.source);
+        token_findings.extend(lints::lint_file(input.rel, &lexed, input.class));
+        if input.class == lints::FileClass::Library {
+            library_facts.push((input.rel.to_string(), parser::parse(&lexed)));
+        }
+        directives.push(lexed.allows);
+    }
     let table = SymbolTable::build(&library_facts);
     let graph = CallGraph::build(&table);
 
-    let mut all = flow::flow_lints(&table, &graph);
-    for (_, rec) in per_file {
-        all.extend(rec.findings.iter().cloned());
-    }
-
-    // Suppression: per file, over token + flow findings together, so an
+    // Suppression: per file, over flow + token findings together, so an
     // allow above a fn header can excuse an L010 as easily as an L001.
-    let mut kept = Vec::new();
     let mut by_path: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in all {
+    for f in flow::flow_lints(&table, &graph)
+        .into_iter()
+        .chain(token_findings)
+    {
         by_path.entry(f.path.clone()).or_default().push(f);
     }
+    let mut kept = Vec::new();
     let mut hygiene = Vec::new();
-    for (file, rec) in per_file {
-        let mut findings = by_path.remove(&file.rel).unwrap_or_default();
+    for (input, directives) in inputs.iter().zip(&directives) {
+        let mut findings = by_path.remove(input.rel).unwrap_or_default();
         let mut used = Vec::new();
-        lints::apply_allows(&mut findings, &rec.directives, &mut used);
+        lints::apply_allows(&mut findings, directives, &mut used);
         hygiene.extend(flow::allow_hygiene(
-            &file.rel,
-            file.class,
-            &rec.directives,
+            input.rel,
+            input.class,
+            directives,
             &used,
         ));
         kept.append(&mut findings);
     }
-    // Findings for paths with no per_file entry cannot happen (every
-    // finding's path came from per_file), but drain defensively.
+    // Every finding's path names an input, but drain defensively.
     for (_, mut findings) in by_path {
         kept.append(&mut findings);
     }
     kept.append(&mut hygiene);
     kept.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
     kept
-}
-
-/// Run the **full** pipeline (token + flow lints, suppression, L013 —
-/// no cache, no baseline) over in-memory sources. This is what the
-/// fixture and mutation tests drive: the same semantics as a workspace
-/// walk, minus the filesystem.
-pub fn analyze_sources(inputs: &[SourceInput<'_>]) -> Vec<Finding> {
-    let per_file: Vec<(walk::SourceFile, FileRecord)> = inputs
-        .iter()
-        .map(|input| {
-            let lexed = lexer::lex(input.source);
-            let rec = FileRecord {
-                hash: 0,
-                findings: lints::lint_file(input.rel, &lexed, input.class),
-                directives: lexed.allows.clone(),
-                facts: parser::parse(&lexed),
-            };
-            let file = walk::SourceFile {
-                path: std::path::PathBuf::from(input.rel),
-                rel: input.rel.to_string(),
-                class: input.class,
-            };
-            (file, rec)
-        })
-        .collect();
-    cross_file_pipeline(&per_file)
 }
 
 /// Analyze one file's source text through the full pipeline. Kept for

@@ -16,10 +16,6 @@ const USAGE: &str = "xtask <analyze|validate-json|json-get|help> [options]
                                     token/flow level) and exit
                  --root PATH        analyze PATH instead of the enclosing
                                     workspace
-                 --no-cache         ignore and do not write the incremental
-                                    cache (target/xtask/analyze-cache.json)
-                 --update-baseline  rewrite lint-baseline.txt from the
-                                    current findings and exit 0
 
                  exit codes: 0 = clean (warn-level findings allowed unless
                  --deny-all), 1 = deny-level findings remain (--deny-all:
@@ -39,8 +35,7 @@ const USAGE: &str = "xtask <analyze|validate-json|json-get|help> [options]
 
 Findings are suppressed by a justification comment on the same or the
 preceding line:  // negassoc-lint: allow(L00x) -- reason
-(L013 fails reasonless or stale allows), or grandfathered in
-lint-baseline.txt at the workspace root.";
+(L013 fails reasonless or stale allows).";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -129,21 +124,12 @@ fn json_get(args: Vec<String>) -> ExitCode {
 fn analyze(args: Vec<String>) -> ExitCode {
     let mut json = false;
     let mut deny_all = false;
-    let mut update_baseline = false;
-    let mut opts = xtask::AnalyzeOptions::default();
     let mut root: Option<PathBuf> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--deny-all" => deny_all = true,
-            "--no-cache" => opts.use_cache = false,
-            "--update-baseline" => {
-                update_baseline = true;
-                // The new baseline is computed from findings *before*
-                // the old baseline subtracts anything.
-                opts.use_baseline = false;
-            }
             "--list" => {
                 for lint in xtask::lints::LINTS {
                     println!(
@@ -184,30 +170,13 @@ fn analyze(args: Vec<String>) -> ExitCode {
         }
     };
 
-    let analysis = match xtask::analyze_workspace_opts(&root, opts) {
+    let analysis = match xtask::analyze_workspace(&root) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if update_baseline {
-        if let Err(e) = xtask::baseline::write(&root, &analysis.findings) {
-            eprintln!("error: writing baseline: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "baseline updated: {} finding{} grandfathered",
-            analysis.findings.len(),
-            if analysis.findings.len() == 1 {
-                ""
-            } else {
-                "s"
-            }
-        );
-        return ExitCode::SUCCESS;
-    }
 
     if json {
         println!("{}", xtask::json::render(&analysis));
@@ -223,16 +192,12 @@ fn analyze(args: Vec<String>) -> ExitCode {
             );
         }
         println!(
-            "analyzed {} files ({} library, {} test-support; cache {}/{}): \
-             {} deny, {} warn, {} baselined",
+            "analyzed {} files ({} library, {} test-support): {} deny, {} warn",
             analysis.files_scanned,
             analysis.library_files,
             analysis.test_support_files,
-            analysis.cache_hits,
-            analysis.cache_hits + analysis.cache_misses,
             analysis.deny_count(),
             analysis.warn_count(),
-            analysis.baselined,
         );
     }
 

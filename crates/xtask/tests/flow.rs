@@ -1,5 +1,5 @@
 //! Cross-file flow-lint tests: seeded mutations against the *real*
-//! mining sources, cross-file delegation, and the incremental cache.
+//! mining sources, cross-file delegation, and the workspace walk.
 //!
 //! The mutation checks are the analyzer's canary: delete the token poll
 //! from `partition_mine` and L010 must catch it; break the pass-end
@@ -163,13 +163,28 @@ pub fn drive(blocks: &[Vec<u64>], ctrl: &CancelToken) -> u64 {
     assert_eq!(l010.len(), 1, "{findings:?}");
 }
 
+/// Every file under `dir`, recursively, sorted.
+fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out.sort();
+    out
+}
+
 #[test]
-fn warm_cache_serves_every_file_and_agrees() {
+fn workspace_analysis_is_one_stateless_pass() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")
         .join("target")
-        .join(format!("xtask-cache-test-{}", std::process::id()));
+        .join(format!("xtask-walk-test-{}", std::process::id()));
     let src = root.join("crates/demo/src");
     std::fs::create_dir_all(&src).unwrap();
     std::fs::write(
@@ -182,27 +197,35 @@ fn warm_cache_serves_every_file_and_agrees() {
         "pub fn fine(v: Option<u64>) -> u64 { v.unwrap_or(0) }\n",
     )
     .unwrap();
+    let planted = files_under(&root);
+    let found = |a: &xtask::Analysis| {
+        a.findings
+            .iter()
+            .map(|f| (f.lint, f.path.clone(), f.line))
+            .collect::<Vec<_>>()
+    };
+    let want = [("L001", "crates/demo/src/lib.rs".to_string(), 1)];
 
-    let cold = xtask::analyze_workspace(&root).unwrap();
-    assert_eq!(cold.cache_misses, 2);
-    assert_eq!(cold.cache_hits, 0);
+    let first = xtask::analyze_workspace(&root).unwrap();
+    assert_eq!(first.files_scanned, 2);
+    assert_eq!(found(&first), want, "exactly the planted unwrap");
 
-    let warm = xtask::analyze_workspace(&root).unwrap();
-    assert_eq!(warm.cache_hits, 2, "unchanged files come from the cache");
-    assert_eq!(warm.cache_misses, 0);
-    let ids = |a: &xtask::Analysis| a.findings.iter().map(|f| f.lint).collect::<Vec<_>>();
-    assert_eq!(ids(&cold), ids(&warm), "cached and fresh results agree");
-    assert_eq!(ids(&cold), ["L001"]);
+    let second = xtask::analyze_workspace(&root).unwrap();
+    assert_eq!(found(&second), want, "a second run agrees");
 
-    // Touching one file invalidates exactly that file.
+    // Editing the clean file moves nothing.
     std::fs::write(
         src.join("other.rs"),
         "pub fn fine(v: Option<u64>) -> u64 { v.unwrap_or(1) }\n",
     )
     .unwrap();
-    let touched = xtask::analyze_workspace(&root).unwrap();
-    assert_eq!(touched.cache_hits, 1);
-    assert_eq!(touched.cache_misses, 1);
+    let edited = xtask::analyze_workspace(&root).unwrap();
+    assert_eq!(found(&edited), want, "an edit elsewhere agrees");
 
+    assert_eq!(
+        files_under(&root),
+        planted,
+        "analyze keeps no state: it writes nothing under the root"
+    );
     std::fs::remove_dir_all(&root).ok();
 }

@@ -328,7 +328,7 @@ fn cancelling_at_every_pass_boundary_then_resuming_is_exact() {
         assert_cancellation_shape(&err);
 
         let resumed = NegativeMiner::new(config(resume_par, resume_be))
-            .mine_with_recovery(&db, &tax, None, &dir.0)
+            .mine_with_controls(&db, &tax, None, Some(&dir.0), &RunControl::new())
             .unwrap();
         assert_eq!(
             outcome_key(&resumed),
@@ -542,7 +542,7 @@ fn shard_corruption_matrix_degrades_to_the_healthy_shards_exactly() {
             Parallelism::Sequential,
             CountingBackend::SubsetHashMap,
         ))
-        .mine_with_recovery(&src, &tax, None, &ckpt.0)
+        .mine_with_controls(&src, &tax, None, Some(&ckpt.0), &RunControl::new())
         .unwrap();
         assert_eq!(
             outcome_key(&resumed),

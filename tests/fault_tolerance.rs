@@ -3,7 +3,7 @@
 //! through the full mining pipeline on generated data.
 
 use negassoc::config::MinerConfig;
-use negassoc::NegativeMiner;
+use negassoc::{NegativeMiner, RunControl};
 use negassoc_apriori::MinSupport;
 use negassoc_datagen::{generate, presets};
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -101,14 +101,16 @@ fn interrupted_run_resumes_from_checkpoints_with_identical_results() {
     }]);
     let faulty = FaultySource::new(&db, plan);
     miner
-        .mine_with_recovery(&faulty, &tax, None, &dir.0)
+        .mine_with_controls(&faulty, &tax, None, Some(&dir.0), &RunControl::new())
         .unwrap_err();
     let leftover = std::fs::read_dir(&dir.0).unwrap().count();
     assert!(leftover > 0, "the failed run must leave checkpoints behind");
 
     // Second attempt resumes from the surviving checkpoints and must be
     // indistinguishable from the uninterrupted run.
-    let resumed = miner.mine_with_recovery(&db, &tax, None, &dir.0).unwrap();
+    let resumed = miner
+        .mine_with_controls(&db, &tax, None, Some(&dir.0), &RunControl::new())
+        .unwrap();
     assert_eq!(rule_keys(&resumed), rule_keys(&clean));
     // Success clears the checkpoints.
     assert_eq!(std::fs::read_dir(&dir.0).unwrap().count(), 0);

@@ -5,7 +5,7 @@
 //! fingerprint deliberately ignores the parallelism policy).
 
 use negassoc::config::MinerConfig;
-use negassoc::{NegativeMiner, Parallelism};
+use negassoc::{NegativeMiner, Parallelism, RunControl};
 use negassoc_apriori::MinSupport;
 use negassoc_datagen::{generate, presets};
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -81,7 +81,13 @@ fn interrupt_and_resume_with(resume_parallelism: Parallelism) {
         kind: SourceFaultKind::PermanentError,
     }]);
     sequential
-        .mine_with_recovery(&FaultySource::new(&db, plan), &tax, None, &dir.0)
+        .mine_with_controls(
+            &FaultySource::new(&db, plan),
+            &tax,
+            None,
+            Some(&dir.0),
+            &RunControl::new(),
+        )
         .unwrap_err();
     assert!(
         std::fs::read_dir(&dir.0).unwrap().count() > 0,
@@ -89,7 +95,7 @@ fn interrupt_and_resume_with(resume_parallelism: Parallelism) {
     );
 
     let resumed = NegativeMiner::new(config(resume_parallelism))
-        .mine_with_recovery(&db, &tax, None, &dir.0)
+        .mine_with_controls(&db, &tax, None, Some(&dir.0), &RunControl::new())
         .unwrap();
     assert_eq!(outcome_key(&resumed), outcome_key(&clean));
     assert_eq!(resumed.large.total(), clean.large.total());
@@ -123,12 +129,18 @@ fn parallel_interruption_resumes_sequentially_with_identical_results() {
         kind: SourceFaultKind::PermanentError,
     }]);
     NegativeMiner::new(config(Parallelism::Threads(4)))
-        .mine_with_recovery(&FaultySource::new(&db, plan), &tax, None, &dir.0)
+        .mine_with_controls(
+            &FaultySource::new(&db, plan),
+            &tax,
+            None,
+            Some(&dir.0),
+            &RunControl::new(),
+        )
         .unwrap_err();
     assert!(std::fs::read_dir(&dir.0).unwrap().count() > 0);
 
     let resumed = NegativeMiner::new(config(Parallelism::Sequential))
-        .mine_with_recovery(&db, &tax, None, &dir.0)
+        .mine_with_controls(&db, &tax, None, Some(&dir.0), &RunControl::new())
         .unwrap();
     assert_eq!(outcome_key(&resumed), outcome_key(&clean));
 }
