@@ -99,6 +99,8 @@ pub struct GenLevelMiner<'a, S: TransactionSource + ?Sized> {
     done: bool,
     candidate_cap: Option<usize>,
     pass_stats: Vec<PassStats>,
+    /// The number the next counting pass carries.
+    next_pass: u64,
     ctrl: Option<&'a CancelToken>,
     obs: Obs,
 }
@@ -176,6 +178,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             done,
             candidate_cap: None,
             pass_stats,
+            next_pass: 2,
             ctrl,
             obs: obs.clone(),
         })
@@ -215,9 +218,11 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
     }
 
     /// Telemetry for every counting pass this miner has made so far, in
-    /// execution order. Pass numbers are local to this miner instance
-    /// (a resumed miner starts again at 1 — it makes no level-1 pass, so
-    /// its first entry is whatever level it counts first).
+    /// execution order. Pass numbers count from 1 per miner instance (a
+    /// resumed miner starts again at 1 — it makes no level-1 pass, so its
+    /// first entry is whatever level it counts first), run on across
+    /// [`Self::take_pass_stats`], and skip the passes reported through
+    /// [`Self::skip_passes`].
     pub fn pass_stats(&self) -> &[PassStats] {
         &self.pass_stats
     }
@@ -225,6 +230,14 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
     /// Drain the collected pass telemetry, leaving the miner's log empty.
     pub fn take_pass_stats(&mut self) -> Vec<PassStats> {
         std::mem::take(&mut self.pass_stats)
+    }
+
+    /// Record `n` counting passes someone else made since this miner's
+    /// last one (the naive driver's negative passes between levels), so
+    /// the number on this miner's next pass — its row and its
+    /// `pass_end` event — follows them.
+    pub fn skip_passes(&mut self, n: u64) {
+        self.next_pass += n;
     }
 
     /// Export the stepping state for checkpointing. No database pass.
@@ -286,6 +299,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             done: state.done,
             candidate_cap: None,
             pass_stats: Vec::new(),
+            next_pass: 1,
             ctrl,
             obs: obs.clone(),
         }
@@ -343,7 +357,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             &self.obs,
         )?;
         let stats = PassStats {
-            pass: self.pass_stats.len() as u64 + 1,
+            pass: self.next_pass,
             label: format!("L{k}"),
             candidates: run.counts.len(),
             transactions: run.transactions,
@@ -357,6 +371,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
         self.obs
             .gauge(metric::LAST_PASS_CANDIDATES, stats.candidates as u64);
         self.pass_stats.push(stats);
+        self.next_pass += 1;
         self.frontier.clear();
         for (set, count) in run.counts {
             if count >= self.minsup {

@@ -18,7 +18,10 @@
 //! `BENCH_serve.json`).
 //! `--scale N` runs on N transactions instead of the command's default
 //! (the full 50,000 for the figures; the qualitative shapes survive
-//! scaling, the full size takes minutes). `--support PCT` sets the
+//! scaling, the full size takes minutes). Supports stay percentages, so
+//! `ablate`, `counts`, `fig5`, `fig6`, `fig7` and `all` refuse (exit 2)
+//! an N that would put their lowest support below ten transactions, and
+//! name the smallest N they accept. `--support PCT` sets the
 //! minimum support of `counts`, `fig7` and `all`; any other command
 //! rejects it with exit 2.
 
@@ -26,7 +29,7 @@ use negassoc_bench::{
     ablation_bench, counting_scale, fig7_series, itemset_counts, overhead_bench, secs, serve_bench,
     sharded_counting_bench, short_dataset, tall_dataset, CountingBench, DiskDataset, Overhead,
     ABLATION_REPETITIONS, ABLATION_SUPPORT_PCT, ABLATION_TRANSACTIONS, FIG56_SUPPORTS_PCT,
-    FIG7_SUPPORT_PCT,
+    FIG7_SUPPORT_PCT, MIN_SUPPORT_TRANSACTIONS,
 };
 use std::process::ExitCode;
 
@@ -72,6 +75,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let support_pct = support.unwrap_or(FIG7_SUPPORT_PCT);
+    if let Some(n) = scale {
+        if let Err(refusal) = check_scale(&command, n, support_pct) {
+            eprintln!("{refusal}");
+            return ExitCode::from(2);
+        }
+    }
     let written = match command.as_str() {
         "ablate" => ablate(scale),
         "counting" => counting(scale),
@@ -260,6 +269,39 @@ fn tables() {
         );
     }
     println!();
+}
+
+/// The lowest support, in percent, that `command` mines at.
+fn lowest_support_pct(command: &str, support_pct: f64) -> Option<f64> {
+    let fig56 = FIG56_SUPPORTS_PCT
+        .iter()
+        .copied()
+        .fold(f64::INFINITY, f64::min);
+    match command {
+        "ablate" => Some(ABLATION_SUPPORT_PCT),
+        "fig5" | "fig6" => Some(fig56),
+        "counts" | "fig7" => Some(support_pct),
+        "all" => Some(fig56.min(support_pct)),
+        _ => None,
+    }
+}
+
+/// Refuse a `--scale` that would put `command`'s lowest support below
+/// [`MIN_SUPPORT_TRANSACTIONS`] transactions, naming the smallest scale
+/// that does not.
+fn check_scale(command: &str, scale: usize, support_pct: f64) -> Result<(), String> {
+    let Some(pct) = lowest_support_pct(command, support_pct) else {
+        return Ok(());
+    };
+    let smallest = (MIN_SUPPORT_TRANSACTIONS * 100.0 / pct).ceil() as usize;
+    if scale >= smallest {
+        return Ok(());
+    }
+    Err(format!(
+        "--scale {scale} puts {command}'s lowest support ({pct}%) at {:.1} transactions, \
+         below the floor of {MIN_SUPPORT_TRANSACTIONS}; use --scale {smallest} or more",
+        scale as f64 * pct / 100.0
+    ))
 }
 
 /// §3.2: generalized large-itemset counts (default 1.5% support).
@@ -494,4 +536,35 @@ fn serve(scale: Option<usize>) -> std::io::Result<()> {
     std::fs::write("BENCH_serve.json", bench.to_json())?;
     println!("wrote BENCH_serve.json");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_floor_admits_the_smallest_scale_and_refuses_below_it() {
+        // ablate mines at 2%: 500 transactions is a threshold of 10.
+        assert_eq!(check_scale("ablate", 500, FIG7_SUPPORT_PCT), Ok(()));
+        let refusal = check_scale("ablate", 499, FIG7_SUPPORT_PCT).unwrap_err();
+        assert!(refusal.contains("--scale 500 or more"), "{refusal}");
+        assert!(check_scale("ablate", 400, FIG7_SUPPORT_PCT).is_err());
+        // fig5/fig6 sweep down to 0.5%, so they need 2,000.
+        for fig in ["fig5", "fig6"] {
+            assert_eq!(check_scale(fig, 2_000, FIG7_SUPPORT_PCT), Ok(()));
+            let refusal = check_scale(fig, 1_999, FIG7_SUPPORT_PCT).unwrap_err();
+            assert!(refusal.contains("--scale 2000 or more"), "{refusal}");
+        }
+        // counts/fig7 follow --support; all takes the lowest of both.
+        assert_eq!(check_scale("counts", 667, 1.5), Ok(()));
+        assert!(check_scale("fig7", 666, 1.5).is_err());
+        assert_eq!(check_scale("fig7", 100, 10.0), Ok(()));
+        assert!(check_scale("all", 1_999, 10.0).is_err());
+        assert!(check_scale("all", 2_000, 0.25).is_err());
+        assert_eq!(check_scale("all", 4_000, 0.25), Ok(()));
+        // Commands that keep their own supports are not checked.
+        for other in ["counting", "ctrl", "obs", "serve", "params", "tables"] {
+            assert_eq!(check_scale(other, 10, FIG7_SUPPORT_PCT), Ok(()));
+        }
+    }
 }

@@ -33,6 +33,13 @@ pub const PAPER_MIN_RI: f64 = 0.5;
 /// The MinSup used for Figure 7 and the §3.2 itemset-count comparison.
 pub const FIG7_SUPPORT_PCT: f64 = 1.5;
 
+/// The lowest absolute support threshold, in transactions, that a
+/// `--scale`d sweep may mine at. Percentage supports shrink with the
+/// database; below about ten transactions almost every itemset is large
+/// and mining runs away (`paper ablate --scale 300`, 2% = 6 transactions,
+/// ran for minutes past 4 GB).
+pub const MIN_SUPPORT_TRANSACTIONS: f64 = 10.0;
+
 /// Materialize the "Short" dataset, optionally scaled down to
 /// `transactions` (full Table 4 size when `None`).
 pub fn short_dataset(transactions: Option<usize>) -> Dataset {

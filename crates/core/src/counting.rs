@@ -19,8 +19,9 @@ use std::time::Instant;
 /// Count all `candidates` (mixed sizes, categories allowed) and keep the
 /// negative ones. Returns the negative itemsets, the number of database
 /// passes made (`ceil(len / cap)`, or 1 without a cap), and one
-/// [`PassStats`] entry per pass (telemetry; pass numbers are local to this
-/// call and renumbered by the driver).
+/// [`PassStats`] entry per pass. The passes are numbered from
+/// `first_pass`, the run-wide number of the first, in the rows and in
+/// their `pass_end` events alike.
 ///
 /// `ctrl` is checked before every chunk pass (and at block boundaries
 /// within it); a cancelled run returns the token's error without any
@@ -36,6 +37,7 @@ pub(crate) fn confirm_negatives<S: TransactionSource + ?Sized>(
     min_support_count: u64,
     min_ri: f64,
     parallelism: Parallelism,
+    first_pass: u64,
     ctrl: Option<&CancelToken>,
     obs: &Obs,
 ) -> Result<(Vec<NegativeItemset>, u64, Vec<PassStats>), Error> {
@@ -78,7 +80,7 @@ pub(crate) fn confirm_negatives<S: TransactionSource + ?Sized>(
             &mut negatives,
         )?;
         let pass_stats = PassStats {
-            pass: passes,
+            pass: first_pass + passes - 1,
             label: "negative".to_string(),
             candidates: chunk_len,
             transactions: run.0,
@@ -209,11 +211,13 @@ mod tests {
             5,
             0.5,
             Parallelism::Sequential,
+            1,
             None,
             &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].pass, 1);
         assert_eq!(stats[0].candidates, 3);
         assert_eq!(stats[0].transactions, 20);
         assert_eq!(stats[0].threads, 1);
@@ -241,12 +245,15 @@ mod tests {
             5,
             0.5,
             Parallelism::Threads(2),
+            7,
             None,
             &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(passes2, 3);
         assert_eq!(stats2.len(), 3);
+        let numbers: Vec<u64> = stats2.iter().map(|s| s.pass).collect();
+        assert_eq!(numbers, [7, 8, 9], "numbered on from the first pass");
         assert!(stats2.iter().all(|s| s.threads == 2 && s.candidates == 1));
         assert_eq!(pc.passes(), 3);
         assert_eq!(negs2.len(), 2);
@@ -267,6 +274,7 @@ mod tests {
             1,
             0.5,
             Parallelism::Sequential,
+            1,
             None,
             &Obs::disabled(),
         )

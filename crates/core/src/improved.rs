@@ -145,6 +145,7 @@ pub(crate) fn run_improved_with_checkpoints<S: TransactionSource + ?Sized>(
         large.min_support_count(),
         config.min_ri,
         config.parallelism,
+        pass_stats.len() as u64 + 1,
         ctrl,
         obs,
     )?;

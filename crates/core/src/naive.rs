@@ -123,10 +123,12 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
             miner.large().min_support_count(),
             config.min_ri,
             config.parallelism,
+            pass_stats.len() as u64 + 1,
             ctrl,
             obs,
         )?;
         passes += neg_passes;
+        miner.skip_passes(neg_passes);
         pass_stats.extend(neg_stats);
         negatives.append(&mut negs);
         negative_time += negative_start.elapsed();

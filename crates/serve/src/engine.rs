@@ -16,8 +16,10 @@
 //!   CI diffs the two byte-for-byte over served query batches; any index
 //!   bug shows up as a divergence, not a silently wrong answer.
 //!
-//! Both return rule ids in ascending canonical order, and both feed one
-//! renderer, so equal matches imply equal bytes on the wire.
+//! Both return rule ids in ascending canonical order. The production
+//! answer concatenates lines the snapshot rendered once at load
+//! ([`render_matches`]); the oracle formats each matched rule from its
+//! fields, so the same diff also checks the rendered lines.
 
 use crate::snapshot::Snapshot;
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -27,9 +29,11 @@ use std::fmt::Write as _;
 /// canonical rule lists (ascending).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Matches {
-    /// Indexes into [`Snapshot::positive`].
+    /// Indexes into [`Snapshot::positive_stats`] (the positive rule's
+    /// combined id).
     pub positive: Vec<u32>,
-    /// Indexes into [`Snapshot::negative`].
+    /// Indexes into [`Snapshot::negative_stats`] (combined id minus
+    /// [`Snapshot::num_positive`]).
     pub negative: Vec<u32>,
 }
 
@@ -39,13 +43,10 @@ impl Snapshot {
     /// antecedent against the expansion. `expanded` must be sorted
     /// (as [`Taxonomy::expand_with_ancestors`] returns it).
     pub fn match_expanded(&self, expanded: &[ItemId]) -> Matches {
-        let n_pos = self.positive().len() as u32;
+        let n_pos = self.num_positive() as u32;
         let mut candidates: Vec<u32> = Vec::new();
-        let index = self.index();
         for &item in expanded {
-            if let Ok(i) = index.binary_search_by_key(&item, |e| e.0) {
-                candidates.extend_from_slice(&index[i].1);
-            }
+            candidates.extend_from_slice(self.postings(item));
         }
         // Each rule is posted exactly once (under its smallest
         // antecedent item), so the union is duplicate-free; sorting
@@ -53,12 +54,7 @@ impl Snapshot {
         candidates.sort_unstable();
         let mut matches = Matches::default();
         for rid in candidates {
-            let antecedent = if rid < n_pos {
-                &self.positive()[rid as usize].antecedent
-            } else {
-                &self.negative()[(rid - n_pos) as usize].antecedent
-            };
-            if is_subset(antecedent.items(), expanded) {
+            if is_subset(self.antecedent(rid as usize), expanded) {
                 if rid < n_pos {
                     matches.positive.push(rid);
                 } else {
@@ -73,25 +69,15 @@ impl Snapshot {
     /// directly, no index involved. Must agree with
     /// [`Snapshot::match_expanded`] on every basket.
     pub fn match_expanded_oracle(&self, expanded: &[ItemId]) -> Matches {
+        let n_pos = self.num_positive();
         let mut matches = Matches::default();
-        for (i, rule) in self.positive().iter().enumerate() {
-            if rule
-                .antecedent
-                .items()
-                .iter()
-                .all(|item| expanded.contains(item))
-            {
-                matches.positive.push(i as u32);
-            }
-        }
-        for (i, rule) in self.negative().iter().enumerate() {
-            if rule
-                .antecedent
-                .items()
-                .iter()
-                .all(|item| expanded.contains(item))
-            {
-                matches.negative.push(i as u32);
+        for rid in 0..self.num_rules() {
+            let (antecedent, _) = self.sides(rid);
+            if antecedent.iter().all(|item| expanded.contains(item)) {
+                match rid.checked_sub(n_pos) {
+                    None => matches.positive.push(rid as u32),
+                    Some(i) => matches.negative.push(i as u32),
+                }
             }
         }
         matches
@@ -116,9 +102,11 @@ fn is_subset(needle: &[ItemId], haystack: &[ItemId]) -> bool {
 }
 
 /// Answer one basket line end to end: parse, resolve, expand, match
-/// (indexed or oracle), render. This is the single render path shared by
-/// the server's query handler and the offline `match` oracle, so equal
-/// rule matches are equal bytes.
+/// and render — indexed and by concatenation of the snapshot's rendered
+/// lines, or, with `oracle`, by the full scan and a renderer that formats
+/// every rule from its fields. The server answers with the first, the
+/// offline `match` command with the second, so a diff of the two checks
+/// the index and the rendered lines at once.
 ///
 /// A basket line is comma-separated item names (names may contain
 /// spaces); unknown names and empty baskets render as `error:` bodies
@@ -139,18 +127,50 @@ pub fn answer_basket_line(tax: &Taxonomy, snapshot: &Snapshot, line: &str, oracl
         return "error: empty basket\n".to_owned();
     }
     let expanded = tax.expand_with_ancestors(items.iter().copied());
-    let matches = if oracle {
-        snapshot.match_expanded_oracle(&expanded)
+    if oracle {
+        let matches = snapshot.match_expanded_oracle(&expanded);
+        render_oracle(tax, snapshot, &items, &matches)
     } else {
-        snapshot.match_expanded(&expanded)
-    };
-    render_matches(tax, snapshot, &items, &matches)
+        let matches = snapshot.match_expanded(&expanded);
+        render_matches(tax, snapshot, &items, &matches)
+    }
 }
 
-/// Render one basket's answer. First line names the snapshot version —
-/// the hot-swap soak test asserts every body is internally consistent
-/// with exactly the version on this line.
+/// Render one basket's answer: a header line, then the matched rules'
+/// lines as the snapshot rendered them at load. First line names the
+/// snapshot version — the hot-swap soak test asserts every body is
+/// internally consistent with exactly the version on this line.
 pub fn render_matches(
+    tax: &Taxonomy,
+    snapshot: &Snapshot,
+    basket: &[ItemId],
+    matches: &Matches,
+) -> String {
+    let n_pos = snapshot.num_positive();
+    let lines = || {
+        let positive = matches.positive.iter().map(|&i| i as usize);
+        let negative = matches.negative.iter().map(move |&i| n_pos + i as usize);
+        positive.chain(negative).map(|rid| snapshot.line(rid))
+    };
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "snapshot {} basket [{}] matched {} positive, {} negative",
+        snapshot.meta().snapshot_version,
+        names(tax, basket),
+        matches.positive.len(),
+        matches.negative.len()
+    );
+    out.reserve_exact(lines().map(str::len).sum());
+    for line in lines() {
+        out.push_str(line);
+    }
+    out
+}
+
+/// The oracle's renderer: every line formatted from the rule's fields,
+/// sharing nothing with the lines a snapshot renders at load.
+fn render_oracle(
     tax: &Taxonomy,
     snapshot: &Snapshot,
     basket: &[ItemId],
@@ -166,23 +186,25 @@ pub fn render_matches(
         matches.negative.len()
     );
     for &i in &matches.positive {
-        let rule = &snapshot.positive()[i as usize];
+        let (antecedent, consequent) = snapshot.sides(i as usize);
+        let rule = &snapshot.positive_stats()[i as usize];
         let _ = writeln!(
             out,
             "P {} => {} sup {} conf {:.4}",
-            names(tax, rule.antecedent.items()),
-            names(tax, rule.consequent.items()),
+            names(tax, antecedent),
+            names(tax, consequent),
             rule.support,
             rule.confidence
         );
     }
     for &i in &matches.negative {
-        let rule = &snapshot.negative()[i as usize];
+        let (antecedent, consequent) = snapshot.sides(snapshot.num_positive() + i as usize);
+        let rule = &snapshot.negative_stats()[i as usize];
         let _ = writeln!(
             out,
             "N {} =/=> {} ri {:.4} expected {:.3} actual {}",
-            names(tax, rule.antecedent.items()),
-            names(tax, rule.consequent.items()),
+            names(tax, antecedent),
+            names(tax, consequent),
             rule.ri,
             rule.expected,
             rule.actual

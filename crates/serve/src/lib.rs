@@ -7,15 +7,19 @@
 //!
 //! Three layers, splittable at each seam:
 //!
-//! * [`snapshot`] — the immutable **NARS v1** file format: CRC-32-framed
-//!   sections (the NADB v2 discipline), a self-describing header whose
+//! * [`snapshot`] — the immutable **NARS v2** file format: CRC-32-framed
+//!   sections (the NADB v2 discipline) and a self-describing header whose
 //!   taxonomy digest pins the rules to the hierarchy they were mined
-//!   under, and an antecedent index keyed by sorted item ids. Built from
-//!   a [`negassoc::RuleSetExport`], loaded with full verification.
+//!   under. Built from a [`negassoc::RuleSetExport`], loaded with full
+//!   verification (v1 files, which also stored the antecedent index,
+//!   still load). A load builds the antecedent index keyed by item id
+//!   and renders every rule's answer line once.
 //! * [`engine`] — taxonomy-expanded matching: a basket containing an
 //!   item matches rules over any of the item's ancestor categories.
-//!   Ships both the indexed matcher and a deliberately independent
-//!   full-scan oracle so CI can diff served answers byte-for-byte.
+//!   Ships both the indexed matcher, which answers by concatenating the
+//!   rendered lines, and a deliberately independent full-scan oracle
+//!   that formats every rule itself, so CI can diff served answers
+//!   byte-for-byte.
 //! * [`server`] — dependency-free TCP serving: length-prefixed frames, a
 //!   worker pool on the `txdb::block` spawn discipline (bounded queue,
 //!   `recv_timeout` + token poll, scoped joins), snapshot hot-swap via
@@ -26,6 +30,7 @@
 
 pub mod engine;
 pub mod error;
+mod render;
 pub mod server;
 pub mod snapshot;
 
@@ -117,11 +122,32 @@ mod tests {
         assert_eq!(loaded.meta().snapshot_version, 7);
         assert_eq!(loaded.meta().taxonomy_digest, tax.digest());
         assert_eq!(loaded.meta().num_transactions, export.num_transactions);
-        assert_eq!(loaded.positive(), &export.positive[..]);
-        assert_eq!(loaded.negative().len(), export.negative.len());
-        for (got, want) in loaded.negative().iter().zip(&export.negative) {
-            assert_eq!(got.antecedent, want.antecedent);
-            assert_eq!(got.consequent, want.consequent);
+        assert_eq!(loaded.num_positive(), export.positive.len());
+        assert_eq!(
+            loaded.num_rules(),
+            export.positive.len() + export.negative.len()
+        );
+        for (rid, (got, want)) in loaded
+            .positive_stats()
+            .iter()
+            .zip(&export.positive)
+            .enumerate()
+        {
+            let (antecedent, consequent) = loaded.sides(rid);
+            assert_eq!(antecedent, want.antecedent.items());
+            assert_eq!(consequent, want.consequent.items());
+            assert_eq!(got.support, want.support);
+            assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+        }
+        for (i, (got, want)) in loaded
+            .negative_stats()
+            .iter()
+            .zip(&export.negative)
+            .enumerate()
+        {
+            let (antecedent, consequent) = loaded.sides(loaded.num_positive() + i);
+            assert_eq!(antecedent, want.antecedent.items());
+            assert_eq!(consequent, want.consequent.items());
             assert_eq!(got.actual, want.actual);
             assert_eq!(got.expected.to_bits(), want.expected.to_bits());
             assert_eq!(got.ri.to_bits(), want.ri.to_bits());
@@ -167,39 +193,100 @@ mod tests {
         let _ = state;
     }
 
-    #[test]
-    fn corruption_is_caught_by_the_framing() {
-        let (tax, export) = mined_export();
-        let bytes = snapshot::snapshot_bytes(&export, 3).expect("bytes");
-        // Flipping any single byte must fail verification (try a spread
-        // of positions: magic, header, each section).
-        for pos in [0, 6, 20, bytes.len() / 2, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x40;
-            assert!(
-                Snapshot::from_bytes(&bad, &tax).is_err(),
-                "byte flip at {pos} went undetected"
-            );
-        }
-        // Truncation at any boundary fails too.
-        assert!(Snapshot::from_bytes(&bytes[..bytes.len() - 1], &tax).is_err());
-        assert!(Snapshot::from_bytes(&bytes[..4], &tax).is_err());
-    }
+    /// NARS v1 bytes of [`mined_export`] at snapshot version 5, written
+    /// by the v1 writer (which also stored the antecedent index as a
+    /// fourth section, 'X').
+    const TOY_V1: &[u8] = include_bytes!("../tests/fixtures/toy-v1.nars");
 
-    #[test]
-    fn indexed_matcher_agrees_with_the_oracle_on_every_basket() {
-        let (tax, export) = mined_export();
-        let snap = Snapshot::from_export(&export, &tax, 1).expect("snapshot");
-        // Every single-item basket and every pair, by name.
-        let names: Vec<&str> = ["soft drinks", "Coke", "Pepsi", "snacks", "Ruffles"].to_vec();
+    /// Every single-item and two-item basket of the toy taxonomy, by name.
+    fn toy_baskets() -> Vec<String> {
+        let names = ["soft drinks", "Coke", "Pepsi", "snacks", "Ruffles"];
         let mut baskets: Vec<String> = names.iter().map(|n| (*n).to_owned()).collect();
         for (i, a) in names.iter().enumerate() {
             for b in &names[i + 1..] {
                 baskets.push(format!("{a}, {b}"));
             }
         }
+        baskets
+    }
+
+    #[test]
+    fn corruption_is_caught_by_the_framing() {
+        let (tax, export) = mined_export();
+        let v2 = snapshot::snapshot_bytes(&export, 3).expect("bytes");
+        assert!(Snapshot::from_bytes(&v2, &tax).is_ok());
+        assert!(Snapshot::from_bytes(TOY_V1, &tax).is_ok());
+        for bytes in [&v2[..], TOY_V1] {
+            // Flipping any single byte must fail verification: magic,
+            // version, each frame and each payload — in v1, the skipped
+            // 'X' section's too.
+            for pos in 0..bytes.len() {
+                let mut bad = bytes.to_vec();
+                bad[pos] ^= 0x40;
+                assert!(
+                    Snapshot::from_bytes(&bad, &tax).is_err(),
+                    "byte flip at {pos} of {} went undetected",
+                    bytes.len()
+                );
+            }
+            // Truncation at any point fails too, and so does a trailer.
+            for len in 0..bytes.len() {
+                assert!(Snapshot::from_bytes(&bytes[..len], &tax).is_err());
+            }
+            let mut long = bytes.to_vec();
+            long.push(0);
+            assert!(Snapshot::from_bytes(&long, &tax).is_err());
+        }
+        // A v2 file with a stored index, or a v1 file without one, is not
+        // a snapshot of either version.
+        let mut v2_with_index = TOY_V1.to_vec();
+        v2_with_index[4] = 2;
+        assert!(Snapshot::from_bytes(&v2_with_index, &tax).is_err());
+        let mut v1_without_index = v2.clone();
+        v1_without_index[4] = 1;
+        assert!(Snapshot::from_bytes(&v1_without_index, &tax).is_err());
+        let mut v3 = v2;
+        v3[4] = 3;
+        let err = Snapshot::from_bytes(&v3, &tax).expect_err("unknown version");
+        assert!(err.to_string().contains("version 3"), "{err}");
+    }
+
+    #[test]
+    fn v1_fixture_loads_and_answers_like_its_v2_reexport() {
+        let (tax, export) = mined_export();
+        let v2 = snapshot::snapshot_bytes(&export, 5).expect("bytes");
+        // v2 is v1 with the version byte moved on and the 'X' section cut.
+        assert_eq!(TOY_V1[4], 1);
+        assert_eq!(TOY_V1[v2.len()], b'X');
+        assert_eq!(&TOY_V1[..4], &v2[..4]);
+        assert_eq!(v2[4], 2);
+        assert_eq!(&TOY_V1[5..v2.len()], &v2[5..]);
+
+        let old = Snapshot::from_bytes(TOY_V1, &tax).expect("v1 loads");
+        let new = Snapshot::from_bytes(&v2, &tax).expect("v2 loads");
+        assert_eq!(old.meta(), new.meta());
+        assert_eq!(old.num_rules(), new.num_rules());
+        let mut matched = 0;
+        for basket in toy_baskets() {
+            for oracle in [false, true] {
+                let want = answer_basket_line(&tax, &new, &basket, oracle);
+                assert_eq!(
+                    answer_basket_line(&tax, &old, &basket, oracle),
+                    want,
+                    "{basket:?}"
+                );
+                matched += want.lines().count() - 1;
+            }
+        }
+        assert!(matched > 0, "the toy baskets should match some rules");
+    }
+
+    #[test]
+    fn indexed_matcher_agrees_with_the_oracle_on_every_basket() {
+        let (tax, export) = mined_export();
+        let snap = Snapshot::from_export(&export, &tax, 1).expect("snapshot");
         let mut matched_something = false;
-        for basket in &baskets {
+        for basket in &toy_baskets() {
             let indexed = answer_basket_line(&tax, &snap, basket, false);
             let oracle = answer_basket_line(&tax, &snap, basket, true);
             assert_eq!(indexed, oracle, "divergence on basket {basket:?}");

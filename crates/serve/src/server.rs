@@ -579,9 +579,61 @@ pub fn request(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<(bool
             format!("response frame claims {len} bytes"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    let ok = payload[0] == b'+';
-    let body = String::from_utf8_lossy(&payload[1..]).into_owned();
-    Ok((ok, body))
+    let mut status = [0u8; 1];
+    stream.read_exact(&mut status)?;
+    let mut body = vec![0u8; len as usize - 1];
+    stream.read_exact(&mut body)?;
+    // The body buffer becomes the string; only invalid UTF-8 is copied.
+    let body = String::from_utf8(body)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    Ok((status[0] == b'+', body))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Answer each request frame read from one connection with the next
+    /// of `replies` (status byte and body bytes), raw.
+    fn scripted_peer(listener: &TcpListener, replies: &[&[u8]]) {
+        let (mut stream, _) = listener.accept().expect("accept");
+        for reply in replies {
+            let mut len = [0u8; 4];
+            stream.read_exact(&mut len).expect("request length");
+            let mut frame = vec![0u8; u32::from_le_bytes(len) as usize];
+            stream.read_exact(&mut frame).expect("request body");
+            let mut out = (reply.len() as u32).to_le_bytes().to_vec();
+            out.extend_from_slice(reply);
+            stream.write_all(&out).expect("reply");
+        }
+    }
+
+    #[test]
+    fn request_reads_status_and_body() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let replies: [&[u8]; 4] = [b"+pong\n", b"-refused\n", b"+", b"-a\xffb\xc3"];
+        std::thread::scope(|s| {
+            s.spawn(|| scripted_peer(&listener, &replies));
+            let mut client = TcpStream::connect(addr).expect("connect");
+            let ask = |c: &mut TcpStream| request(c, TAG_PING, b"").expect("round trip");
+            assert_eq!(ask(&mut client), (true, "pong\n".to_owned()));
+            assert_eq!(ask(&mut client), (false, "refused\n".to_owned()));
+            assert_eq!(ask(&mut client), (true, String::new()));
+            // Invalid UTF-8 still comes back, lossily.
+            assert_eq!(ask(&mut client), (false, "a\u{fffd}b\u{fffd}".to_owned()));
+        });
+    }
+
+    #[test]
+    fn request_refuses_an_empty_frame() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::scope(|s| {
+            s.spawn(|| scripted_peer(&listener, &[b""]));
+            let mut client = TcpStream::connect(addr).expect("connect");
+            let err = request(&mut client, TAG_PING, b"").expect_err("empty frame");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        });
+    }
 }

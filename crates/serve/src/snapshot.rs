@@ -1,16 +1,14 @@
-//! The NARS v1 rule-set snapshot: an immutable, versioned, CRC-32-framed
-//! file holding one mine's positive and negative rules plus the
-//! antecedent index the query engine matches with.
+//! The NARS v2 rule-set snapshot: an immutable, versioned, CRC-32-framed
+//! file holding one mine's positive and negative rules.
 //!
 //! # Layout (all integers little-endian)
 //!
 //! ```text
 //! magic      b"NARS"                      4 bytes
-//! version    u8 = 1
+//! version    u8 = 2
 //! section 'H'  self-describing header
 //! section 'P'  positive rules
 //! section 'N'  negative rules
-//! section 'X'  antecedent index
 //! ```
 //!
 //! Every section is framed like an NADB v2 block: a 13-byte frame header
@@ -26,19 +24,32 @@
 //! [`ServeError::SnapshotTaxonomyMismatch`] — never a silent
 //! mis-expansion.
 //!
-//! The 'X' payload is the antecedent index: for every rule, the rule id
-//! (one combined id space, positives first) posted under the *smallest*
-//! item id of its antecedent. A rule can only match a basket whose
-//! ancestor-expanded item set contains that anchor, so the index turns
-//! "scan every rule" into "union a few posting lists, then verify".
-//! Posting lists and anchors are sorted; the loader rebuilds the index
-//! from the rule sections and requires bit-equality, so a corrupt or
-//! hand-rolled index can never serve wrong answers.
+//! A rule is `antecedent · consequent · stats`: each side a `u16` length
+//! and that many strictly ascending `u32` item ids, then `support u64 ·
+//! confidence f64` (positive) or `expected f64 · actual u64 · ri f64`
+//! (negative).
+//!
+//! # Reading v1
+//!
+//! NARS v1 (version byte 1) is the same file plus a fourth section 'X',
+//! a stored copy of the antecedent index. The loader rebuilds the index
+//! from the rule sections either way, so it reads a v1 'X' section only
+//! far enough to check its frame and payload CRCs, and skips it.
+//!
+//! # What a load builds
+//!
+//! Rule sides go into one flat id array with per-rule ends; no rule owns
+//! an allocation. The antecedent index posts every rule id (one combined
+//! id space, positives first) under the *smallest* item id of its
+//! antecedent: a rule can only match a basket whose ancestor-expanded
+//! item set contains that anchor, so the index turns "scan every rule"
+//! into "union a few posting lists, then verify". And every rule's
+//! answer line is rendered once, into one text arena, so a query answer
+//! is its header line plus copies of the matched lines.
 
 use crate::error::ServeError;
-use negassoc::rules::NegativeRule;
+use crate::render::{push_fixed, push_u64};
 use negassoc::RuleSetExport;
-use negassoc_apriori::rules::Rule;
 use negassoc_apriori::Itemset;
 use negassoc_taxonomy::{ItemId, Taxonomy};
 use negassoc_txdb::crc32::crc32;
@@ -47,7 +58,10 @@ use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"NARS";
-const VERSION: u8 = 1;
+/// The version this build writes.
+const VERSION: u8 = 2;
+/// The oldest version this build reads (it carries the 'X' section).
+const VERSION_WITH_INDEX: u8 = 1;
 /// Upper bound on any section payload; a length field beyond this is
 /// corruption, not a rule set.
 const MAX_SECTION: u32 = 256 << 20;
@@ -56,6 +70,10 @@ const HEADER_LEN: usize = 56;
 /// Size of a section's frame header: tag, payload length, payload CRC,
 /// frame CRC.
 const FRAME_LEN: usize = 13;
+/// Smallest encoded positive / negative rule: two one-item sides plus
+/// the stats.
+const MIN_POSITIVE_LEN: usize = 2 * (2 + 4) + 16;
+const MIN_NEGATIVE_LEN: usize = 2 * (2 + 4) + 24;
 
 /// Provenance carried in the snapshot header.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -75,14 +93,47 @@ pub struct SnapshotMeta {
     pub min_confidence: f64,
 }
 
+/// The numbers of a positive rule.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PositiveStats {
+    /// Absolute support count of `antecedent ∪ consequent`.
+    pub support: u64,
+    /// `support(antecedent ∪ consequent) / support(antecedent)`.
+    pub confidence: f64,
+}
+
+/// The numbers of a negative rule.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct NegativeStats {
+    /// Expected support of `antecedent ∪ consequent`.
+    pub expected: f64,
+    /// Actual support of `antecedent ∪ consequent`.
+    pub actual: u64,
+    /// Rule interest.
+    pub ri: f64,
+}
+
 /// An immutable, loaded rule-set snapshot.
+///
+/// Rules are addressed by one combined id: positives `0..num_positive`
+/// in canonical (export) order, then negatives.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     meta: SnapshotMeta,
-    positive: Vec<Rule>,
-    negative: Vec<NegativeRule>,
-    /// `(anchor, posting list of combined rule ids)`, sorted by anchor.
-    index: Vec<(ItemId, Vec<u32>)>,
+    /// Every rule's antecedent then consequent ids, rule after rule.
+    items: Vec<ItemId>,
+    /// Per rule: where its antecedent and its consequent end in `items`.
+    ends: Vec<[u32; 2]>,
+    positive: Vec<PositiveStats>,
+    negative: Vec<NegativeStats>,
+    /// Every rule's answer line (newline included), concatenated.
+    text: String,
+    /// Per rule: where its line ends in `text`.
+    line_ends: Vec<u32>,
+    /// The antecedent index over item ids: rules anchored at item `i`
+    /// are `postings[starts[i]..starts[i + 1]]`, ascending.
+    starts: Vec<u32>,
+    postings: Vec<u32>,
 }
 
 impl Snapshot {
@@ -91,30 +142,72 @@ impl Snapshot {
         &self.meta
     }
 
-    /// Positive rules in canonical (export) order.
-    pub fn positive(&self) -> &[Rule] {
+    /// Stats of the positive rules, in canonical order.
+    pub fn positive_stats(&self) -> &[PositiveStats] {
         &self.positive
     }
 
-    /// Negative rules in canonical (export) order.
-    pub fn negative(&self) -> &[NegativeRule] {
+    /// Stats of the negative rules, in canonical order.
+    pub fn negative_stats(&self) -> &[NegativeStats] {
         &self.negative
     }
 
-    /// The antecedent index, sorted by anchor item id.
-    pub(crate) fn index(&self) -> &[(ItemId, Vec<u32>)] {
-        &self.index
+    /// Positive rules; their combined ids are `0..num_positive()`.
+    pub fn num_positive(&self) -> usize {
+        self.positive.len()
     }
 
     /// Total rules across both polarities.
     pub fn num_rules(&self) -> usize {
-        self.positive.len() + self.negative.len()
+        self.ends.len()
+    }
+
+    /// Antecedent and consequent of rule `rid` (combined id).
+    ///
+    /// # Panics
+    /// Panics if `rid >= num_rules()`.
+    pub fn sides(&self, rid: usize) -> (&[ItemId], &[ItemId]) {
+        let start = self.rule_start(rid);
+        let [mid, end] = self.ends[rid];
+        (
+            &self.items[start..mid as usize],
+            &self.items[mid as usize..end as usize],
+        )
+    }
+
+    /// Antecedent of rule `rid` (combined id).
+    pub(crate) fn antecedent(&self, rid: usize) -> &[ItemId] {
+        &self.items[self.rule_start(rid)..self.ends[rid][0] as usize]
+    }
+
+    /// The rendered answer line of rule `rid` (combined id).
+    pub(crate) fn line(&self, rid: usize) -> &str {
+        let start = match rid {
+            0 => 0,
+            _ => self.line_ends[rid - 1] as usize,
+        };
+        &self.text[start..self.line_ends[rid] as usize]
+    }
+
+    /// Rule ids posted under `item`.
+    pub(crate) fn postings(&self, item: ItemId) -> &[u32] {
+        match self.starts.get(item.index()..item.index() + 2) {
+            Some(&[from, to]) => &self.postings[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+
+    fn rule_start(&self, rid: usize) -> usize {
+        match rid {
+            0 => 0,
+            _ => self.ends[rid - 1][1] as usize,
+        }
     }
 
     /// Build an in-memory snapshot straight from an export bundle
     /// (bypassing the file round trip; tests and the bench harness use
     /// this, the CLI goes through [`export_snapshot`] + [`Snapshot::load`]).
-    /// Same taxonomy pinning as the file path.
+    /// Same taxonomy pinning and id checks as the file path.
     pub fn from_export(
         export: &RuleSetExport,
         tax: &Taxonomy,
@@ -129,26 +222,48 @@ impl Snapshot {
             min_ri: export.min_ri,
             min_confidence: export.min_confidence,
         };
-        let index = build_index(&export.positive, &export.negative);
-        Ok(Snapshot {
-            meta,
-            positive: export.positive.clone(),
-            negative: export.negative.clone(),
-            index,
-        })
+        let num_items = export
+            .positive
+            .iter()
+            .map(|r| r.antecedent.len() + r.consequent.len())
+            .chain(
+                export
+                    .negative
+                    .iter()
+                    .map(|r| r.antecedent.len() + r.consequent.len()),
+            )
+            .sum();
+        let mut rules =
+            Rules::with_capacity(export.positive.len(), export.negative.len(), num_items);
+        for rule in &export.positive {
+            rules.push_sides(ids(&rule.antecedent), ids(&rule.consequent), tax)?;
+            rules.positive.push(PositiveStats {
+                support: rule.support,
+                confidence: rule.confidence,
+            });
+        }
+        for rule in &export.negative {
+            rules.push_sides(ids(&rule.antecedent), ids(&rule.consequent), tax)?;
+            rules.negative.push(NegativeStats {
+                expected: rule.expected,
+                actual: rule.actual,
+                ri: rule.ri,
+            });
+        }
+        rules.finish(meta, tax)
     }
 
     /// Load and fully verify a snapshot file against `tax`: magic,
     /// version, every frame and payload CRC, id bounds, canonical
-    /// itemset ordering, the taxonomy digest, and the antecedent index
-    /// (which must equal the one rebuilt from the rule sections).
+    /// itemset ordering and the taxonomy digest.
     pub fn load<P: AsRef<Path>>(path: P, tax: &Taxonomy) -> Result<Self, ServeError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
         Self::from_bytes(&bytes, tax)
     }
 
-    /// [`Snapshot::load`] over an in-memory byte buffer.
+    /// [`Snapshot::load`] over an in-memory byte buffer (NARS v2, or v1
+    /// with its stored index checked and skipped).
     pub fn from_bytes(bytes: &[u8], tax: &Taxonomy) -> Result<Self, ServeError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(4)?;
@@ -158,9 +273,10 @@ impl Snapshot {
             ));
         }
         let version = r.u8()?;
-        if version != VERSION {
+        if version != VERSION && version != VERSION_WITH_INDEX {
             return Err(ServeError::Format(format!(
-                "unsupported snapshot format version {version} (this build reads v{VERSION})"
+                "unsupported snapshot format version {version} \
+                 (this build reads v{VERSION_WITH_INDEX} and v{VERSION})"
             )));
         }
 
@@ -188,34 +304,207 @@ impl Snapshot {
         check_digest(meta.taxonomy_digest, tax)?;
 
         let pos_payload = read_section(&mut r, b'P')?;
-        let positive = decode_positive(pos_payload, n_pos, tax)?;
         let neg_payload = read_section(&mut r, b'N')?;
-        let negative = decode_negative(neg_payload, n_neg, tax)?;
-        let idx_payload = read_section(&mut r, b'X')?;
-        let index = decode_index(idx_payload, n_pos + n_neg)?;
+        // What well-formed payloads hold, and never more than the bytes
+        // can: each rule is its fixed part plus four bytes per item id.
+        let n_pos_cap = n_pos.min(pos_payload.len() / MIN_POSITIVE_LEN);
+        let n_neg_cap = n_neg.min(neg_payload.len() / MIN_NEGATIVE_LEN);
+        let ids = |payload: &[u8], n: usize, min_len: usize| {
+            payload.len().saturating_sub(n * (min_len - 8)) / 4
+        };
+        let mut rules = Rules::with_capacity(
+            n_pos_cap,
+            n_neg_cap,
+            ids(pos_payload, n_pos_cap, MIN_POSITIVE_LEN)
+                + ids(neg_payload, n_neg_cap, MIN_NEGATIVE_LEN),
+        );
+        decode_positive(pos_payload, n_pos, tax, &mut rules)?;
+        decode_negative(neg_payload, n_neg, tax, &mut rules)?;
+        if version == VERSION_WITH_INDEX {
+            read_section(&mut r, b'X')?;
+        }
         if r.pos != bytes.len() {
             return Err(ServeError::Format(format!(
-                "{} trailing bytes after the index section",
+                "{} trailing bytes after the rule sections",
                 bytes.len() - r.pos
             )));
         }
-        // The index is data *about* the rules; trust only what can be
-        // reproduced from them.
-        if index != build_index(&positive, &negative) {
-            return Err(ServeError::Format(
-                "antecedent index does not match the rule sections".into(),
-            ));
+        rules.finish(meta, tax)
+    }
+}
+
+/// Rules decoded or copied so far: the flat sides and the stats of a
+/// [`Snapshot`] under construction.
+struct Rules {
+    items: Vec<ItemId>,
+    ends: Vec<[u32; 2]>,
+    positive: Vec<PositiveStats>,
+    negative: Vec<NegativeStats>,
+}
+
+impl Rules {
+    fn with_capacity(num_positive: usize, num_negative: usize, num_items: usize) -> Self {
+        Rules {
+            items: Vec::with_capacity(num_items),
+            ends: Vec::with_capacity(num_positive + num_negative),
+            positive: Vec::with_capacity(num_positive),
+            negative: Vec::with_capacity(num_negative),
         }
-        Ok(Snapshot {
-            meta,
+    }
+
+    /// Append one rule's sides. Each must be nonempty, strictly
+    /// ascending and in range for `tax`.
+    fn push_sides(
+        &mut self,
+        antecedent: impl IntoIterator<Item = u32>,
+        consequent: impl IntoIterator<Item = u32>,
+        tax: &Taxonomy,
+    ) -> Result<(), ServeError> {
+        let mid = self.push_side(antecedent, tax)?;
+        let end = self.push_side(consequent, tax)?;
+        self.ends.push([mid, end]);
+        Ok(())
+    }
+
+    fn push_side(
+        &mut self,
+        ids: impl IntoIterator<Item = u32>,
+        tax: &Taxonomy,
+    ) -> Result<u32, ServeError> {
+        let start = self.items.len();
+        let mut prev: Option<u32> = None;
+        for id in ids {
+            if id as usize >= tax.len() {
+                return Err(ServeError::Format(format!(
+                    "item id {id} out of range for a {}-item taxonomy",
+                    tax.len()
+                )));
+            }
+            if prev.is_some_and(|p| p >= id) {
+                return Err(ServeError::Format("itemset not strictly ascending".into()));
+            }
+            prev = Some(id);
+            self.items.push(ItemId(id));
+        }
+        if self.items.len() == start {
+            return Err(ServeError::Format("rule with an empty itemset side".into()));
+        }
+        u32::try_from(self.items.len())
+            .map_err(|_| ServeError::Format("more than u32::MAX rule items".into()))
+    }
+
+    /// Index the rules and render every answer line.
+    fn finish(self, meta: SnapshotMeta, tax: &Taxonomy) -> Result<Snapshot, ServeError> {
+        let Rules {
+            items,
+            ends,
             positive,
             negative,
-            index,
+        } = self;
+        let num_rules = ends.len();
+        // A rule's anchor is the first (smallest) id of its antecedent.
+        let anchors = || {
+            ends.iter().scan(0, |start, e| {
+                let anchor = items[*start];
+                *start = e[1] as usize;
+                Some(anchor)
+            })
+        };
+
+        // Counting sort of rule ids by anchor: ids arrive ascending, so
+        // every posting list comes out sorted.
+        let mut starts = vec![0u32; tax.len() + 1];
+        for anchor in anchors() {
+            starts[anchor.index() + 1] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut starts {
+            sum += *s;
+            *s = sum;
+        }
+        let mut fill = starts.clone();
+        let mut postings = vec![0u32; num_rules];
+        for (rid, anchor) in anchors().enumerate() {
+            let slot = &mut fill[anchor.index()];
+            postings[*slot as usize] = rid as u32;
+            *slot += 1;
+        }
+
+        // Canonical order keeps a rule's antecedent next to its repeats,
+        // so the last one's names are kept rendered.
+        let mut last_antecedent: &[ItemId] = &[];
+        let mut antecedent_names = String::new();
+        let mut text = String::new();
+        let mut line_ends = Vec::with_capacity(num_rules);
+        let mut start = 0;
+        for (rid, &[mid, end]) in ends.iter().enumerate() {
+            let antecedent = &items[start..mid as usize];
+            let consequent = &items[mid as usize..end as usize];
+            start = end as usize;
+            if antecedent != last_antecedent {
+                antecedent_names.clear();
+                push_names(&mut antecedent_names, tax, antecedent);
+                last_antecedent = antecedent;
+            }
+            match rid.checked_sub(positive.len()) {
+                None => {
+                    let s = positive[rid];
+                    text.push_str("P ");
+                    text.push_str(&antecedent_names);
+                    text.push_str(" => ");
+                    push_names(&mut text, tax, consequent);
+                    text.push_str(" sup ");
+                    push_u64(&mut text, s.support);
+                    text.push_str(" conf ");
+                    push_fixed(&mut text, s.confidence, 4);
+                }
+                Some(i) => {
+                    let s = negative[i];
+                    text.push_str("N ");
+                    text.push_str(&antecedent_names);
+                    text.push_str(" =/=> ");
+                    push_names(&mut text, tax, consequent);
+                    text.push_str(" ri ");
+                    push_fixed(&mut text, s.ri, 4);
+                    text.push_str(" expected ");
+                    push_fixed(&mut text, s.expected, 3);
+                    text.push_str(" actual ");
+                    push_u64(&mut text, s.actual);
+                }
+            }
+            text.push('\n');
+            line_ends.push(
+                u32::try_from(text.len())
+                    .map_err(|_| ServeError::Format("answer text over 4 GiB".into()))?,
+            );
+        }
+        text.shrink_to_fit();
+        Ok(Snapshot {
+            meta,
+            items,
+            ends,
+            positive,
+            negative,
+            text,
+            line_ends,
+            starts,
+            postings,
         })
     }
 }
 
-/// Serialize `export` as a NARS v1 snapshot at `path`. Refuses (typed
+/// Item names joined by `" + "`; every id is in range (checked when the
+/// rule was pushed).
+fn push_names(out: &mut String, tax: &Taxonomy, items: &[ItemId]) {
+    for (i, &item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(" + ");
+        }
+        out.push_str(tax.name(item));
+    }
+}
+
+/// Serialize `export` as a NARS v2 snapshot at `path`. Refuses (typed
 /// [`ServeError::SnapshotTaxonomyMismatch`]) when the bundle was not
 /// mined under `tax`.
 pub fn export_snapshot<P: AsRef<Path>>(
@@ -234,11 +523,9 @@ pub fn export_snapshot<P: AsRef<Path>>(
 
 /// The exact bytes [`export_snapshot`] writes.
 ///
-/// The buffer is sized up front and every section is written in place:
-/// its frame header is reserved, the payload appended, and the length and
-/// both checksums patched in afterwards. Each rule's antecedent is read
-/// once, while its section is encoded, and that pass also records the
-/// rule's index anchor.
+/// The buffer is sized exactly up front and every section is written in
+/// place: its frame header is reserved, the payload appended, and the
+/// length and both checksums patched in afterwards.
 pub fn snapshot_bytes(
     export: &RuleSetExport,
     snapshot_version: u64,
@@ -246,7 +533,6 @@ pub fn snapshot_bytes(
     if export.positive.len() > u32::MAX as usize || export.negative.len() > u32::MAX as usize {
         return Err(ServeError::Format("more than u32::MAX rules".into()));
     }
-    let num_rules = export.positive.len() + export.negative.len();
     let sides = |a: &Itemset, c: &Itemset| 2 + 4 * a.len() + 2 + 4 * c.len();
     let pos_len: usize = export
         .positive
@@ -258,14 +544,8 @@ pub fn snapshot_bytes(
         .iter()
         .map(|r| sides(&r.antecedent, &r.consequent) + 24)
         .sum();
-    // The index holds a posting per rule and an entry per distinct
-    // anchor; anchors are only known after encoding, so count one per
-    // rule. The buffer is never regrown.
-    let max_idx_len = 4 + 12 * num_rules;
-    let mut out = Vec::with_capacity(
-        MAGIC.len() + 1 + 4 * FRAME_LEN + HEADER_LEN + pos_len + neg_len + max_idx_len,
-    );
-    let mut anchors = Vec::with_capacity(num_rules);
+    let mut out =
+        Vec::with_capacity(MAGIC.len() + 1 + 3 * FRAME_LEN + HEADER_LEN + pos_len + neg_len);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
 
@@ -282,7 +562,6 @@ pub fn snapshot_bytes(
 
     let at = begin_section(&mut out, b'P');
     for rule in &export.positive {
-        anchors.push(rule.antecedent.items().first().copied());
         put_itemset(&mut out, &rule.antecedent)?;
         put_itemset(&mut out, &rule.consequent)?;
         put_u64(&mut out, rule.support);
@@ -292,7 +571,6 @@ pub fn snapshot_bytes(
 
     let at = begin_section(&mut out, b'N');
     for rule in &export.negative {
-        anchors.push(rule.antecedent.items().first().copied());
         put_itemset(&mut out, &rule.antecedent)?;
         put_itemset(&mut out, &rule.consequent)?;
         put_u64(&mut out, rule.expected.to_bits());
@@ -300,62 +578,7 @@ pub fn snapshot_bytes(
         put_u64(&mut out, rule.ri.to_bits());
     }
     end_section(&mut out, at)?;
-
-    let at = begin_section(&mut out, b'X');
-    let index = index_of(anchors);
-    put_u32(&mut out, index.len() as u32);
-    for (anchor, postings) in &index {
-        put_u32(&mut out, anchor.0);
-        put_u32(&mut out, postings.len() as u32);
-        for &rid in postings {
-            put_u32(&mut out, rid);
-        }
-    }
-    end_section(&mut out, at)?;
     Ok(out)
-}
-
-/// The antecedent index: combined rule ids (positives first) posted
-/// under the smallest antecedent item id, anchors sorted, postings
-/// sorted. Deterministic in the canonical rule order, so writer and
-/// loader agree bit-for-bit.
-fn build_index(positive: &[Rule], negative: &[NegativeRule]) -> Vec<(ItemId, Vec<u32>)> {
-    let anchors = positive
-        .iter()
-        .map(|r| r.antecedent.items().first().copied())
-        .chain(
-            negative
-                .iter()
-                .map(|r| r.antecedent.items().first().copied()),
-        );
-    index_of(anchors)
-}
-
-/// The index over each rule's anchor, in combined rule-id order. In
-/// canonical order consecutive rules mostly share their anchor, so the
-/// previous rule's entry is tried before the binary search.
-fn index_of(anchors: impl IntoIterator<Item = Option<ItemId>>) -> Vec<(ItemId, Vec<u32>)> {
-    let mut index: Vec<(ItemId, Vec<u32>)> = Vec::new();
-    let mut last = 0;
-    for (rid, anchor) in anchors.into_iter().enumerate() {
-        // Antecedents are nonempty by construction; an empty one would
-        // have been rejected at decode/export validation.
-        let Some(anchor) = anchor else { continue };
-        if index.get(last).is_none_or(|e| e.0 != anchor) {
-            last = match index.binary_search_by_key(&anchor, |e| e.0) {
-                Ok(i) => i,
-                Err(i) => {
-                    index.insert(i, (anchor, Vec::new()));
-                    i
-                }
-            };
-        }
-        index[last].1.push(rid as u32);
-    }
-    for entry in &mut index {
-        entry.1.sort_unstable();
-    }
-    index
 }
 
 fn check_digest(recorded: u64, tax: &Taxonomy) -> Result<(), ServeError> {
@@ -434,83 +657,69 @@ fn read_section<'a>(r: &mut Reader<'a>, want_tag: u8) -> Result<&'a [u8], ServeE
 
 // ---- payload decode ----
 
-fn decode_positive(payload: &[u8], n: usize, tax: &Taxonomy) -> Result<Vec<Rule>, ServeError> {
+fn decode_positive(
+    payload: &[u8],
+    n: usize,
+    tax: &Taxonomy,
+    rules: &mut Rules,
+) -> Result<(), ServeError> {
     let mut r = Reader {
         bytes: payload,
         pos: 0,
     };
-    let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        let antecedent = take_itemset(&mut r, tax)?;
-        let consequent = take_itemset(&mut r, tax)?;
+        take_sides(&mut r, tax, rules)?;
         let support = r.u64()?;
         let confidence = f64::from_bits(r.u64()?);
-        out.push(Rule {
-            antecedent,
-            consequent,
+        rules.positive.push(PositiveStats {
             support,
             confidence,
         });
     }
-    expect_drained(&r, 'P')?;
-    Ok(out)
+    expect_drained(&r, 'P')
 }
 
 fn decode_negative(
     payload: &[u8],
     n: usize,
     tax: &Taxonomy,
-) -> Result<Vec<NegativeRule>, ServeError> {
+    rules: &mut Rules,
+) -> Result<(), ServeError> {
     let mut r = Reader {
         bytes: payload,
         pos: 0,
     };
-    let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        let antecedent = take_itemset(&mut r, tax)?;
-        let consequent = take_itemset(&mut r, tax)?;
+        take_sides(&mut r, tax, rules)?;
         let expected = f64::from_bits(r.u64()?);
         let actual = r.u64()?;
         let ri = f64::from_bits(r.u64()?);
-        out.push(NegativeRule {
-            antecedent,
-            consequent,
+        rules.negative.push(NegativeStats {
             expected,
             actual,
             ri,
-            // Derivations are mine-time provenance; the snapshot carries
-            // the serving answer only.
-            derivation: None,
         });
     }
-    expect_drained(&r, 'N')?;
-    Ok(out)
+    expect_drained(&r, 'N')
 }
 
-fn decode_index(payload: &[u8], num_rules: usize) -> Result<Vec<(ItemId, Vec<u32>)>, ServeError> {
-    let mut r = Reader {
-        bytes: payload,
-        pos: 0,
-    };
-    let entries = r.u32()? as usize;
-    let mut out = Vec::with_capacity(entries.min(1 << 20));
-    for _ in 0..entries {
-        let anchor = ItemId(r.u32()?);
-        let count = r.u32()? as usize;
-        let mut postings = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let rid = r.u32()?;
-            if rid as usize >= num_rules {
-                return Err(ServeError::Format(format!(
-                    "index references rule {rid} of {num_rules}"
-                )));
-            }
-            postings.push(rid);
-        }
-        out.push((anchor, postings));
-    }
-    expect_drained(&r, 'X')?;
-    Ok(out)
+/// Decode one rule's antecedent and consequent into `rules`.
+fn take_sides(r: &mut Reader<'_>, tax: &Taxonomy, rules: &mut Rules) -> Result<(), ServeError> {
+    let len = r.u16()? as usize;
+    let antecedent = r.take(4 * len)?;
+    let len = r.u16()? as usize;
+    let consequent = r.take(4 * len)?;
+    rules.push_sides(le_u32s(antecedent), le_u32s(consequent), tax)
+}
+
+fn ids(set: &Itemset) -> impl Iterator<Item = u32> + '_ {
+    set.items().iter().map(|i| i.0)
+}
+
+fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 fn expect_drained(r: &Reader<'_>, tag: char) -> Result<(), ServeError> {
@@ -545,30 +754,6 @@ fn put_itemset(out: &mut Vec<u8>, set: &Itemset) -> Result<(), ServeError> {
         put_u32(out, item.0);
     }
     Ok(())
-}
-
-fn take_itemset(r: &mut Reader<'_>, tax: &Taxonomy) -> Result<Itemset, ServeError> {
-    let len = r.u16()? as usize;
-    if len == 0 {
-        return Err(ServeError::Format("rule with an empty itemset side".into()));
-    }
-    let mut items = Vec::with_capacity(len);
-    let mut prev: Option<u32> = None;
-    for _ in 0..len {
-        let id = r.u32()?;
-        if id as usize >= tax.len() {
-            return Err(ServeError::Format(format!(
-                "item id {id} out of range for a {}-item taxonomy",
-                tax.len()
-            )));
-        }
-        if prev.is_some_and(|p| p >= id) {
-            return Err(ServeError::Format("itemset not strictly ascending".into()));
-        }
-        prev = Some(id);
-        items.push(ItemId(id));
-    }
-    Ok(Itemset::from_sorted(items))
 }
 
 struct Reader<'a> {

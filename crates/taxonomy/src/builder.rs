@@ -1,4 +1,5 @@
 use crate::fxhash::FxHashMap;
+use crate::taxonomy::structural_digest;
 use crate::{ItemId, Taxonomy};
 use std::fmt;
 
@@ -123,6 +124,7 @@ impl TaxonomyBuilder {
     /// Finish building.
     pub fn build(self) -> Taxonomy {
         let num_leaves = self.children.iter().filter(|c| c.is_empty()).count();
+        let digest = structural_digest(&self.names, &self.parent);
         Taxonomy {
             names: self.names,
             parent: self.parent,
@@ -131,6 +133,7 @@ impl TaxonomyBuilder {
             depth: self.depth,
             by_name: self.by_name,
             num_leaves,
+            digest,
         }
     }
 }

@@ -16,6 +16,8 @@ pub struct Taxonomy {
     pub(crate) depth: Vec<u32>,
     pub(crate) by_name: FxHashMap<Box<str>, ItemId>,
     pub(crate) num_leaves: usize,
+    /// [`Taxonomy::digest`], computed once when the taxonomy is built.
+    pub(crate) digest: u64,
 }
 
 impl Taxonomy {
@@ -188,27 +190,35 @@ impl Taxonomy {
     /// same hierarchy, so artifacts that bake in item ids (rule-set
     /// snapshots, checkpoints) can detect being replayed against a
     /// different hierarchy.
+    ///
+    /// Computed once, when the taxonomy is built: snapshot loads and hot
+    /// swaps check it on every call.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(&(self.len() as u64).to_le_bytes());
-        for item in self.items() {
-            eat(self.name(item).as_bytes());
-            // 0xFF cannot appear in UTF-8, so it unambiguously ends the
-            // name before the fixed-width parent id.
-            eat(&[0xFF]);
-            let parent = self.parent(item).map_or(u32::MAX, |p| p.0);
-            eat(&parent.to_le_bytes());
-        }
-        h
+        self.digest
     }
+}
+
+/// The FNV-1a digest behind [`Taxonomy::digest`].
+pub(crate) fn structural_digest(names: &[Box<str>], parent: &[Option<ItemId>]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    eat(&(names.len() as u64).to_le_bytes());
+    for (name, parent) in names.iter().zip(parent) {
+        eat(name.as_bytes());
+        // 0xFF cannot appear in UTF-8, so it unambiguously ends the
+        // name before the fixed-width parent id.
+        eat(&[0xFF]);
+        let parent = parent.map_or(u32::MAX, |p| p.0);
+        eat(&parent.to_le_bytes());
+    }
+    h
 }
 
 /// Iterator over proper ancestors, nearest first. See [`Taxonomy::ancestors`].

@@ -234,8 +234,10 @@ echo "smoke: bitmap byte-identical to flat, incl. threaded, sharded, full-depth 
 echo "==> snapshot byte pin (NARS bytes of Tall 3k at two confidence levels)"
 # Export orders rules by ranked sides, the writer fills sections in place
 # and CRC-32 runs slicing-by-8; none of it may move a byte. The POSIX
-# cksum values (CRC, length) pin the bytes the itemset-comparing sort and
-# the byte-at-a-time CRC produced. Reuses the Tall 3k dataset above.
+# cksum values (CRC, length) pin NARS v2: the v1 bytes the itemset-
+# comparing sort and the byte-at-a-time CRC produced, with the version
+# byte set to 2 and the stored 'X' index section cut. Reuses the Tall 3k
+# dataset above.
 pin_snapshot() {
   local want="$1"
   shift
@@ -248,8 +250,8 @@ pin_snapshot() {
     exit 1
   fi
 }
-pin_snapshot "729409293 26829"
-pin_snapshot "3061926654 79449" --min-conf 0.3
+pin_snapshot "2593360771 23484"
+pin_snapshot "3971756848 68172" --min-conf 0.3
 echo "pin: NARS bytes unchanged at both confidence levels"
 
 echo "==> serve smoke (snapshot export, server vs offline oracle, SIGINT drain)"
@@ -309,6 +311,18 @@ if [ "$rc" -ne 0 ]; then
 fi
 grep -q "served .* requests" "$SMOKE/serve.out" \
   || { echo "smoke: server drain stats missing" >&2; exit 1; }
-echo "smoke: served answers byte-identical to the oracle; SIGINT drained exit 0"
+# The indexed matcher answers by concatenating the lines a snapshot
+# renders at load; the oracle formats every rule from its fields. The
+# Tall 3k pin snapshot (conf 0.3, the last pinned above) answers tens of
+# thousands of rule lines to this batch, so the diff covers the fixed-
+# point number formatting as well as the index.
+awk -F'\t' '{ print $1 } NR % 3 == 0 && prev != "" { print prev ", " $1 } { prev = $1 }' \
+  "$SMOKE/t3k.txt" > "$SMOKE/t3k-baskets.txt"
+"$NEGRULES" match --snapshot "$SMOKE/t3k-pin.nars" --taxonomy "$SMOKE/t3k.txt" \
+  --baskets "$SMOKE/t3k-baskets.txt" --out "$SMOKE/t3k-oracle.txt" > /dev/null
+"$NEGRULES" match --snapshot "$SMOKE/t3k-pin.nars" --taxonomy "$SMOKE/t3k.txt" \
+  --baskets "$SMOKE/t3k-baskets.txt" --indexed --out "$SMOKE/t3k-indexed.txt" > /dev/null
+diff "$SMOKE/t3k-oracle.txt" "$SMOKE/t3k-indexed.txt"
+echo "smoke: served and indexed answers byte-identical to the oracle; SIGINT drained exit 0"
 
 echo "ci: all checks passed"

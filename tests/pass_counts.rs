@@ -4,11 +4,13 @@
 //! extra passes only under the §2.5 memory cap.
 
 use negassoc::config::Driver;
-use negassoc::obs::Obs;
+use negassoc::ctrl::RunControl;
+use negassoc::obs::{Event, Obs, RingBufferSink};
 use negassoc::{MinerConfig, NegativeMiner};
 use negassoc_apriori::MinSupport;
 use negassoc_taxonomy::{Taxonomy, TaxonomyBuilder};
 use negassoc_txdb::{PassCounter, TransactionDb, TransactionDbBuilder};
+use std::sync::Arc;
 
 /// Three categories of two brands each; one brand-triple dominates, so
 /// large itemsets reach size 3 and negative candidates exist at sizes 2
@@ -173,4 +175,51 @@ fn file_backed_source_counts_identically() {
     assert_eq!(mem.report.passes, file.report.passes);
     assert_eq!(mem.negatives.len(), file.negatives.len());
     assert_eq!(mem.rules.len(), file.rules.len());
+}
+
+#[test]
+fn pass_end_events_carry_the_numbers_of_the_pass_rows() {
+    // The trace and the pass table number every pass alike: the naive
+    // driver interleaves positive and negative passes level by level, the
+    // improved one ends with its negative pass (split in three by the
+    // cap, so the chunk passes are numbered on too).
+    let (tax, db) = deep_scenario();
+    let capped = MinerConfig {
+        max_candidates_per_pass: Some(2),
+        ..config(Driver::Improved)
+    };
+    for (config, negative_passes) in [
+        (config(Driver::Naive), 2..),
+        (config(Driver::Improved), 1..),
+        (capped, 3..),
+    ] {
+        let ring = Arc::new(RingBufferSink::new(10_000));
+        let ctrl = RunControl::new().with_observer(Obs::disabled().with_sink(ring.clone()));
+        let out = NegativeMiner::new(config.clone())
+            .mine_with_controls(&db, &tax, None, None, &ctrl)
+            .unwrap();
+        let events: Vec<(u64, String)> = ring
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::PassEnd { stats } => Some((stats.pass, stats.label)),
+                _ => None,
+            })
+            .collect();
+        let rows: Vec<(u64, String)> = out
+            .report
+            .pass_stats
+            .iter()
+            .map(|s| (s.pass, s.label.clone()))
+            .collect();
+        assert_eq!(events, rows, "{:?}", config.driver);
+        let numbers: Vec<u64> = rows.iter().map(|r| r.0).collect();
+        let want: Vec<u64> = (1..=rows.len() as u64).collect();
+        assert_eq!(numbers, want, "{:?}", config.driver);
+        let negatives = rows.iter().filter(|r| r.1 == "negative").count();
+        assert!(
+            negative_passes.contains(&negatives),
+            "{negatives} negative passes"
+        );
+    }
 }
