@@ -8,9 +8,13 @@
 //!
 //! Two matchers exist on purpose:
 //!
-//! * [`Snapshot::match_expanded`] — production path: union the
-//!   antecedent-index posting lists anchored at the expanded items, then
-//!   verify each candidate's full antecedent.
+//! * [`Snapshot::match_expanded`] — production path: mark the expanded
+//!   items in a bitset over the taxonomy, verify every rule posted in the
+//!   antecedent index under one of them with one bit test per antecedent
+//!   item, and mark the matches in a bitmap over rule ids. Its set bits,
+//!   walked word by word, are the answer in canonical order — no sort and
+//!   no merge walk, so a basket that matches thousands of rules costs
+//!   about one pass over them.
 //! * [`Snapshot::match_expanded_oracle`] — a deliberately naive full
 //!   scan of every rule, sharing no candidate logic with the index path.
 //!   CI diffs the two byte-for-byte over served query batches; any index
@@ -18,12 +22,15 @@
 //!
 //! Both return rule ids in ascending canonical order. The production
 //! answer concatenates lines the snapshot rendered once at load
-//! ([`render_matches`]); the oracle formats each matched rule from its
-//! fields, so the same diff also checks the rendered lines.
+//! ([`render_matches`]): the lines sit in id order, so each run of
+//! consecutive matched ids is copied as one slice. The oracle formats
+//! each matched rule from its fields, so the same diff also checks the
+//! rendered lines.
 
 use crate::snapshot::Snapshot;
 use negassoc_taxonomy::{ItemId, Taxonomy};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Rules matched against one basket, as indexes into the snapshot's
 /// canonical rule lists (ascending).
@@ -38,27 +45,43 @@ pub struct Matches {
 }
 
 impl Snapshot {
-    /// Match via the antecedent index: collect the posting lists of
-    /// every expanded item, then verify each candidate rule's full
-    /// antecedent against the expansion. `expanded` must be sorted
-    /// (as [`Taxonomy::expand_with_ancestors`] returns it).
+    /// Match via the antecedent index. The expanded items are marked in a
+    /// bitset over the taxonomy; every rule posted under one of them is
+    /// verified with one bit test per antecedent item and, if it holds,
+    /// marked in a bitmap over rule ids. Walking that bitmap's set bits
+    /// yields the matches in ascending canonical order, with no sort.
+    ///
+    /// `expanded` need not be sorted or duplicate-free; ids beyond the
+    /// taxonomy are ignored and match nothing.
     pub fn match_expanded(&self, expanded: &[ItemId]) -> Matches {
-        let n_pos = self.num_positive() as u32;
-        let mut candidates: Vec<u32> = Vec::new();
-        for &item in expanded {
-            candidates.extend_from_slice(self.postings(item));
+        let num_items = self.num_items();
+        let mut basket = vec![0u64; num_items.div_ceil(64)];
+        for item in expanded.iter().map(|i| i.index()) {
+            if item < num_items {
+                basket[item / 64] |= 1 << (item % 64);
+            }
         }
-        // Each rule is posted exactly once (under its smallest
-        // antecedent item), so the union is duplicate-free; sorting
-        // restores canonical answer order across posting lists.
-        candidates.sort_unstable();
+        // Every antecedent id is below `num_items` (checked at load).
+        let in_basket = |item: &ItemId| basket[item.index() / 64] >> (item.index() % 64) & 1 != 0;
+        let mut matched = vec![0u64; self.num_rules().div_ceil(64)];
+        for &item in expanded {
+            for &rid in self.postings(item) {
+                if self.antecedent(rid as usize).iter().all(in_basket) {
+                    matched[rid as usize / 64] |= 1 << (rid % 64);
+                }
+            }
+        }
+
+        let n_pos = self.num_positive();
         let mut matches = Matches::default();
-        for rid in candidates {
-            if is_subset(self.antecedent(rid as usize), expanded) {
-                if rid < n_pos {
-                    matches.positive.push(rid);
-                } else {
-                    matches.negative.push(rid - n_pos);
+        for (w, &word) in matched.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let rid = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                match rid.checked_sub(n_pos) {
+                    None => matches.positive.push(rid as u32),
+                    Some(i) => matches.negative.push(i as u32),
                 }
             }
         }
@@ -82,23 +105,6 @@ impl Snapshot {
         }
         matches
     }
-}
-
-/// Subset test over two sorted id slices (merge walk).
-fn is_subset(needle: &[ItemId], haystack: &[ItemId]) -> bool {
-    let mut h = haystack.iter();
-    'outer: for want in needle {
-        for have in h.by_ref() {
-            if have == want {
-                continue 'outer;
-            }
-            if have > want {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
 }
 
 /// Answer one basket line end to end: parse, resolve, expand, match
@@ -147,10 +153,12 @@ pub fn render_matches(
     matches: &Matches,
 ) -> String {
     let n_pos = snapshot.num_positive();
-    let lines = || {
+    // Matched ids ascend and the snapshot keeps its lines in id order, so
+    // each run of consecutive ids is one contiguous slice of its text.
+    let runs = || {
         let positive = matches.positive.iter().map(|&i| i as usize);
         let negative = matches.negative.iter().map(move |&i| n_pos + i as usize);
-        positive.chain(negative).map(|rid| snapshot.line(rid))
+        id_runs(positive.chain(negative)).map(|run| snapshot.lines(run))
     };
     let mut out = String::new();
     let _ = writeln!(
@@ -161,11 +169,26 @@ pub fn render_matches(
         matches.positive.len(),
         matches.negative.len()
     );
-    out.reserve_exact(lines().map(str::len).sum());
-    for line in lines() {
-        out.push_str(line);
+    out.reserve_exact(runs().map(str::len).sum());
+    for lines in runs() {
+        out.push_str(lines);
     }
     out
+}
+
+/// The maximal runs of consecutive ids in an ascending id sequence.
+fn id_runs(mut ids: impl Iterator<Item = usize>) -> impl Iterator<Item = Range<usize>> {
+    let mut next = ids.next();
+    std::iter::from_fn(move || {
+        let start = next?;
+        let mut end = start + 1;
+        next = ids.next();
+        while next == Some(end) {
+            end += 1;
+            next = ids.next();
+        }
+        Some(start..end)
+    })
 }
 
 /// The oracle's renderer: every line formatted from the rule's fields,

@@ -12,6 +12,12 @@
 //! (error), followed by a UTF-8 body. Connections are keep-alive: one
 //! stream carries any number of frames.
 //!
+//! A response goes out as two buffers in vectored writes — the 5-byte
+//! length and status, then the answer string itself — so the body is
+//! never copied into a frame buffer. A request frame's buffer grows in
+//! 64 KiB steps as its bytes arrive, so a length prefix alone reserves
+//! at most one step, not the `MAX_FRAME` (1 MiB) it may announce.
+//!
 //! # Hot swap
 //!
 //! The live snapshot sits behind [`SnapshotCell`] — the `Arc` pointer
@@ -36,7 +42,7 @@ use crate::snapshot::Snapshot;
 use negassoc_taxonomy::Taxonomy;
 use negassoc_txdb::ctrl::CancelToken;
 use negassoc_txdb::obs::{MetricId, MetricKind, Obs};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, RwLock};
@@ -61,6 +67,9 @@ const DRAIN_GRACE_POLLS: u32 = 20;
 /// Largest accepted frame; beyond this the peer is not speaking the
 /// protocol.
 const MAX_FRAME: u32 = 1 << 20;
+/// A request frame's buffer grows by at most this much per read, so a
+/// peer that announces a large frame and stalls holds at most one step.
+const READ_STEP: usize = 64 << 10;
 
 /// The hot-swap cell: an `Arc` pointer flip behind a many-reader lock.
 /// Readers hold the lock only long enough to clone the `Arc`; every
@@ -382,9 +391,9 @@ fn handle_connection(
 ) {
     let _ = stream.set_read_timeout(Some(IO_POLL));
     let _ = stream.set_write_timeout(Some(IO_POLL));
+    let mut frame = Vec::new();
     loop {
-        let mut len_buf = [0u8; 4];
-        match read_full(&mut stream, &mut len_buf, token) {
+        match read_full(&mut stream, &mut frame, 4, token) {
             Ok(ReadOutcome::Full) => {}
             // Clean close: EOF or drain at a frame boundary.
             Ok(ReadOutcome::Closed) => return,
@@ -394,14 +403,13 @@ fn handle_connection(
                 return;
             }
         }
-        let len = u32::from_le_bytes(len_buf);
+        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
         if len == 0 || len > MAX_FRAME {
             stats.errors += 1;
             obs.count(metrics.errors, 1);
             return;
         }
-        let mut frame = vec![0u8; len as usize];
-        match read_full(&mut stream, &mut frame, token) {
+        match read_full(&mut stream, &mut frame, len as usize, token) {
             Ok(ReadOutcome::Full) => {}
             _ => {
                 stats.errors += 1;
@@ -420,11 +428,10 @@ fn handle_connection(
             obs.count(metrics.errors, 1);
         }
 
-        let mut response = Vec::with_capacity(5 + body.len());
-        response.extend_from_slice(&(1 + body.len() as u32).to_le_bytes());
-        response.push(if ok { b'+' } else { b'-' });
-        response.extend_from_slice(body.as_bytes());
-        if write_full(&mut stream, &response, token).is_err() {
+        let mut header = [0u8; 5];
+        header[..4].copy_from_slice(&(1 + body.len() as u32).to_le_bytes());
+        header[4] = if ok { b'+' } else { b'-' };
+        if write_full(&mut stream, &header, body.as_bytes(), token).is_err() {
             stats.errors += 1;
             obs.count(metrics.errors, 1);
             return;
@@ -486,18 +493,25 @@ enum ReadOutcome {
     Truncated,
 }
 
-/// Fill `buf` from `stream`, polling the token on every socket timeout.
-/// Before the first byte, cancellation closes cleanly; mid-buffer it
-/// grants [`DRAIN_GRACE_POLLS`] more rounds so an in-flight frame can
-/// finish, then gives up — drain never hinges on a stalled client.
+/// Replace `buf` with the next `len` bytes of `stream`, polling the token
+/// on every socket timeout. The buffer is zero-filled only as bytes
+/// arrive, [`READ_STEP`] at a time. Before the first byte, cancellation
+/// closes cleanly; mid-buffer it grants [`DRAIN_GRACE_POLLS`] more rounds
+/// so an in-flight frame can finish, then gives up — drain never hinges
+/// on a stalled client.
 fn read_full(
     stream: &mut TcpStream,
-    buf: &mut [u8],
+    buf: &mut Vec<u8>,
+    len: usize,
     token: &CancelToken,
 ) -> io::Result<ReadOutcome> {
+    buf.clear();
     let mut off = 0;
     let mut polls_after_cancel = 0u32;
-    while off < buf.len() {
+    while off < len {
+        if off == buf.len() {
+            buf.resize(len.min(off + READ_STEP), 0);
+        }
         match stream.read(&mut buf[off..]) {
             Ok(0) => {
                 return Ok(if off == 0 {
@@ -530,13 +544,24 @@ fn read_full(
     Ok(ReadOutcome::Full)
 }
 
-/// Write all of `buf`, polling the token on timeouts with the same
-/// post-cancel grace as [`read_full`].
-fn write_full(stream: &mut TcpStream, buf: &[u8], token: &CancelToken) -> io::Result<()> {
+/// Write `head` then `body`, vectored while any of `head` is left, polling
+/// the token on timeouts with the same post-cancel grace as
+/// [`read_full`].
+fn write_full(
+    stream: &mut TcpStream,
+    head: &[u8],
+    body: &[u8],
+    token: &CancelToken,
+) -> io::Result<()> {
     let mut off = 0;
     let mut polls_after_cancel = 0u32;
-    while off < buf.len() {
-        match stream.write(&buf[off..]) {
+    while off < head.len() + body.len() {
+        let written = if off < head.len() {
+            stream.write_vectored(&[IoSlice::new(&head[off..]), IoSlice::new(body)])
+        } else {
+            stream.write(&body[off - head.len()..])
+        };
+        match written {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => off += n,
             Err(e)
@@ -581,8 +606,18 @@ pub fn request(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<(bool
     }
     let mut status = [0u8; 1];
     stream.read_exact(&mut status)?;
-    let mut body = vec![0u8; len as usize - 1];
-    stream.read_exact(&mut body)?;
+    let want = len as usize - 1;
+    let mut body = Vec::with_capacity(want);
+    stream.take(want as u64).read_to_end(&mut body)?;
+    if body.len() < want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "response frame ended after {} of {want} body bytes",
+                body.len()
+            ),
+        ));
+    }
     // The body buffer becomes the string; only invalid UTF-8 is copied.
     let body = String::from_utf8(body)
         .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
@@ -592,6 +627,9 @@ pub fn request(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<(bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use negassoc::RuleSetExport;
+    use negassoc_taxonomy::TaxonomyBuilder;
+    use negassoc_txdb::ctrl::CancelReason;
 
     /// Answer each request frame read from one connection with the next
     /// of `replies` (status byte and body bytes), raw.
@@ -623,6 +661,103 @@ mod tests {
             // Invalid UTF-8 still comes back, lossily.
             assert_eq!(ask(&mut client), (false, "a\u{fffd}b\u{fffd}".to_owned()));
         });
+    }
+
+    #[test]
+    fn request_reports_a_short_body_as_unexpected_eof() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Announce a 100-byte reply, send 6 of them, hang up.
+                let (mut stream, _) = listener.accept().expect("accept");
+                let mut request = [0u8; 5];
+                stream.read_exact(&mut request).expect("request");
+                stream.write_all(&100u32.to_le_bytes()).expect("length");
+                stream.write_all(b"+short").expect("reply");
+            });
+            let mut client = TcpStream::connect(addr).expect("connect");
+            let err = request(&mut client, TAG_PING, b"").expect_err("short body");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        });
+    }
+
+    #[test]
+    fn write_full_delivers_head_and_body_across_partial_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let head = *b"head!";
+        let body: Vec<u8> = (0..4u32 << 20).map(|i| (i % 251) as u8).collect();
+        std::thread::scope(|s| {
+            // A slow reader, so the writer's timed-out writes come back
+            // partial and it must resume mid-buffer.
+            let reader = s.spawn(|| {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let mut got = Vec::new();
+                let mut chunk = [0u8; 64 << 10];
+                loop {
+                    std::thread::sleep(Duration::from_millis(1));
+                    match stream.read(&mut chunk).expect("read") {
+                        0 => return got,
+                        n => got.extend_from_slice(&chunk[..n]),
+                    }
+                }
+            });
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_write_timeout(Some(Duration::from_millis(5)))
+                .expect("write timeout");
+            write_full(&mut stream, &head, &body, &CancelToken::new()).expect("write");
+            drop(stream);
+            let got = reader.join().expect("reader");
+            assert_eq!(got.len(), head.len() + body.len());
+            assert!(got[..5] == head && got[5..] == body[..]);
+        });
+    }
+
+    /// A state serving an empty snapshot over a one-item taxonomy.
+    fn empty_state() -> ServeState {
+        let mut tb = TaxonomyBuilder::new();
+        tb.add_root("snacks");
+        let tax = tb.build();
+        let export = RuleSetExport {
+            taxonomy_digest: tax.digest(),
+            num_transactions: 0,
+            min_support_count: 1,
+            min_ri: 0.5,
+            min_confidence: 0.5,
+            positive: Vec::new(),
+            negative: Vec::new(),
+        };
+        let snapshot = Snapshot::from_export(&export, &tax, 1).expect("snapshot");
+        ServeState::new(tax, Arc::new(snapshot)).expect("state")
+    }
+
+    #[test]
+    fn a_truncated_maximal_request_is_one_error_and_the_server_stays_up() {
+        let state = empty_state();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let token = CancelToken::new();
+        let obs = Obs::disabled();
+        let stats = std::thread::scope(|s| {
+            let server = s.spawn(|| serve(listener, &state, 1, &token, &obs).expect("serve"));
+            {
+                // Announce a maximal frame, send 10 of its bytes, hang up.
+                let mut peer = TcpStream::connect(addr).expect("connect");
+                peer.write_all(&MAX_FRAME.to_le_bytes()).expect("length");
+                peer.write_all(&[TAG_QUERY; 10]).expect("first bytes");
+            }
+            let mut client = TcpStream::connect(addr).expect("connect");
+            let pong = request(&mut client, TAG_PING, b"").expect("ping");
+            assert_eq!(pong, (true, "pong snapshot 1\n".to_owned()));
+            drop(client);
+            token.cancel(CancelReason::UserInterrupt);
+            server.join().expect("server")
+        });
+        assert_eq!(stats.connections, 2);
+        assert_eq!(stats.requests, 1);
+        assert_eq!(stats.errors, 1);
     }
 
     #[test]

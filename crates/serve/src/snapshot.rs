@@ -44,8 +44,9 @@
 //! antecedent: a rule can only match a basket whose ancestor-expanded
 //! item set contains that anchor, so the index turns "scan every rule"
 //! into "union a few posting lists, then verify". And every rule's
-//! answer line is rendered once, into one text arena, so a query answer
-//! is its header line plus copies of the matched lines.
+//! answer line is rendered once, into one text arena in rule-id order,
+//! so a query answer is its header line plus copies of the matched
+//! lines — one copy per run of consecutive matched ids.
 
 use crate::error::ServeError;
 use crate::render::{push_fixed, push_u64};
@@ -55,6 +56,7 @@ use negassoc_taxonomy::{ItemId, Taxonomy};
 use negassoc_txdb::crc32::crc32;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"NARS";
@@ -180,13 +182,19 @@ impl Snapshot {
         &self.items[self.rule_start(rid)..self.ends[rid][0] as usize]
     }
 
-    /// The rendered answer line of rule `rid` (combined id).
-    pub(crate) fn line(&self, rid: usize) -> &str {
-        let start = match rid {
+    /// The rendered answer lines of rules `rules` (combined ids), as one
+    /// slice: the lines are stored in id order.
+    pub(crate) fn lines(&self, rules: Range<usize>) -> &str {
+        let start = |rid: usize| match rid {
             0 => 0,
             _ => self.line_ends[rid - 1] as usize,
         };
-        &self.text[start..self.line_ends[rid] as usize]
+        &self.text[start(rules.start)..start(rules.end)]
+    }
+
+    /// Items in the taxonomy the snapshot was loaded against.
+    pub(crate) fn num_items(&self) -> usize {
+        self.starts.len() - 1
     }
 
     /// Rule ids posted under `item`.

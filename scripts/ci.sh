@@ -315,14 +315,30 @@ grep -q "served .* requests" "$SMOKE/serve.out" \
 # renders at load; the oracle formats every rule from its fields. The
 # Tall 3k pin snapshot (conf 0.3, the last pinned above) answers tens of
 # thousands of rule lines to this batch, so the diff covers the fixed-
-# point number formatting as well as the index.
+# point number formatting as well as the index. Singletons and pairs
+# match a few rules each; every 8 consecutive names (one subtree) and
+# every 64th name (spread over the whole taxonomy) make multi-item
+# baskets, the latter matching most of the 2,159 rules, so long runs of
+# matched rules are diffed too.
 awk -F'\t' '{ print $1 } NR % 3 == 0 && prev != "" { print prev ", " $1 } { prev = $1 }' \
   "$SMOKE/t3k.txt" > "$SMOKE/t3k-baskets.txt"
+awk -F'\t' '{ b = NR % 8 == 1 ? $1 : b ", " $1 } NR % 8 == 0 { print b }' \
+  "$SMOKE/t3k.txt" >> "$SMOKE/t3k-baskets.txt"
+awk -F'\t' '{ b[NR % 64] = b[NR % 64] (NR > 64 ? ", " : "") $1 }
+  END { for (k = 0; k < 64; k++) print b[k] }' "$SMOKE/t3k.txt" >> "$SMOKE/t3k-baskets.txt"
 "$NEGRULES" match --snapshot "$SMOKE/t3k-pin.nars" --taxonomy "$SMOKE/t3k.txt" \
   --baskets "$SMOKE/t3k-baskets.txt" --out "$SMOKE/t3k-oracle.txt" > /dev/null
 "$NEGRULES" match --snapshot "$SMOKE/t3k-pin.nars" --taxonomy "$SMOKE/t3k.txt" \
   --baskets "$SMOKE/t3k-baskets.txt" --indexed --out "$SMOKE/t3k-indexed.txt" > /dev/null
 diff "$SMOKE/t3k-oracle.txt" "$SMOKE/t3k-indexed.txt"
-echo "smoke: served and indexed answers byte-identical to the oracle; SIGINT drained exit 0"
+# Every answer starts with a `snapshot` or `error:` line; count the rule
+# lines after it.
+longest="$(awk '/^(snapshot|error:) / { if (n > max) max = n; n = 0; next } { n++ }
+  END { if (n > max) max = n; print max + 0 }' "$SMOKE/t3k-oracle.txt")"
+if [ "$longest" -le 1000 ]; then
+  echo "smoke: longest Tall 3k answer has $longest rule lines, want > 1000" >&2
+  exit 1
+fi
+echo "smoke: served and indexed answers byte-identical to the oracle (longest: $longest rule lines); SIGINT drained exit 0"
 
 echo "ci: all checks passed"
