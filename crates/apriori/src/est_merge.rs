@@ -15,11 +15,12 @@ use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
 use crate::generalized::{extend_full, prune_ancestor_pairs, AncestorTable};
 use crate::itemset::{Itemset, LargeItemsets};
-use crate::parallel::{count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassStats};
+use crate::parallel::{
+    count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassRun, Scan,
+};
 use crate::MinSupport;
 use negassoc_taxonomy::fxhash::FxHashSet;
 use negassoc_taxonomy::{ItemId, Taxonomy};
-use negassoc_txdb::obs::{metric, Event};
 use negassoc_txdb::{TransactionDb, TransactionDbBuilder, TransactionSource};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -74,9 +75,9 @@ pub struct EstMergeStats {
 /// boundaries within it); a cancelled run returns the token's
 /// [`io::ErrorKind::Interrupted`] error (see [`negassoc_txdb::ctrl`]). The
 /// sequential sampling pass is guarded at its boundaries — it is one pass,
-/// the same interruption granularity every other miner offers. Pass
-/// start/end events for the sampling pass (`"est_sample"`) and every batch
-/// pass (`"est_batch"`) flow to `obs`.
+/// the same interruption granularity every other miner offers. The
+/// sampling pass (`"est_sample"`) and every batch pass (`"est_batch"`)
+/// run through [`Obs::pass`], so each is numbered on `obs`'s ledger.
 #[allow(clippy::too_many_arguments)]
 pub fn est_merge<S: TransactionSource + ?Sized>(
     source: &S,
@@ -99,40 +100,33 @@ pub fn est_merge<S: TransactionSource + ?Sized>(
     let mut stats = EstMergeStats::default();
 
     // Pass 1: exact item counts + sample collection.
-    let started = std::time::Instant::now();
-    obs.emit(|| Event::PassStart {
-        label: "est_sample".to_string(),
-        candidates: tax.len(),
-    });
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut sample_builder = TransactionDbBuilder::new();
     let mut counts: Vec<u64> = vec![0; tax.len()];
-    let mut num_transactions = 0u64;
     let mut buf: Vec<ItemId> = Vec::new();
-    source.pass(&mut |t| {
-        num_transactions += 1;
-        extend_full(t.items(), &ancestors, &mut buf);
-        for &it in &buf {
-            if let Some(c) = counts.get_mut(it.index()) {
-                *c += 1;
+    let num_transactions = obs.pass("est_sample", tax.len(), || {
+        let mut transactions = 0u64;
+        source.pass(&mut |t| {
+            transactions += 1;
+            extend_full(t.items(), &ancestors, &mut buf);
+            for &it in &buf {
+                if let Some(c) = counts.get_mut(it.index()) {
+                    *c += 1;
+                }
             }
-        }
-        if rng.random::<f64>() < config.sample_fraction {
-            sample_builder.add(t.items().iter().copied());
-        }
+            if rng.random::<f64>() < config.sample_fraction {
+                sample_builder.add(t.items().iter().copied());
+            }
+        })?;
+        Ok::<_, io::Error>((
+            transactions,
+            Scan {
+                transactions,
+                threads: 1,
+            },
+        ))
     })?;
     stats.passes = 1;
-    obs.emit(|| Event::PassEnd {
-        stats: PassStats {
-            pass: 1,
-            label: "est_sample".to_string(),
-            candidates: tax.len(),
-            transactions: num_transactions,
-            threads: 1,
-            wall: started.elapsed(),
-        },
-    });
-    obs.bump(metric::PASSES_COMPLETED, 1);
     let sample: TransactionDb = sample_builder.build();
     stats.sample_size = sample.len() as u64;
 
@@ -179,34 +173,12 @@ pub fn est_merge<S: TransactionSource + ?Sized>(
             Vec::new()
         } else {
             stats.passes += 1;
-            let batch_size = batch.len();
-            let pass_no = stats.passes;
-            obs.emit(|| Event::PassStart {
-                label: "est_batch".to_string(),
-                candidates: batch_size,
-            });
-            let pass_started = std::time::Instant::now();
-            let run = count_mixed_parallel(
-                source,
-                std::mem::take(&mut batch),
-                backend,
-                Extension::AllAncestors(&ancestors),
-                parallelism,
-                ctrl,
-                obs,
-            )?;
-            obs.emit(|| Event::PassEnd {
-                stats: PassStats {
-                    pass: pass_no,
-                    label: "est_batch".to_string(),
-                    candidates: batch_size,
-                    transactions: run.transactions,
-                    threads: run.threads,
-                    wall: pass_started.elapsed(),
-                },
-            });
-            obs.bump(metric::PASSES_COMPLETED, 1);
-            run.counts
+            let batch = std::mem::take(&mut batch);
+            obs.pass("est_batch", batch.len(), || {
+                let extension = Extension::AllAncestors(&ancestors);
+                count_mixed_parallel(source, batch, backend, extension, parallelism, ctrl, obs)
+                    .map(PassRun::into_parts)
+            })?
         };
 
         let mut levels_with_news: Vec<usize> = Vec::new();

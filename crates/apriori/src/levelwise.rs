@@ -5,21 +5,26 @@
 //! pass) and then counts that level's negative candidates (a second pass).
 //! [`GenLevelMiner`] exposes exactly that stepping; [`crate::basic`] and
 //! [`crate::cumulate`] are thin run-to-completion wrappers around it.
+//!
+//! The miner keeps no pass accounting of its own: each pass it makes is a
+//! row on its [`Obs`] handle's ledger (see [`Obs::pass`]), numbered in
+//! run order together with whatever passes other miners make on the same
+//! handle in between (the naive driver's negative passes).
 
 use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
 use crate::generalized::{prune_ancestor_pairs, AncestorTable};
 use crate::itemset::{Itemset, LargeItemsets};
 use crate::parallel::{
-    count_items_parallel, count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassStats,
+    count_items_parallel, count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassRun,
+    Scan,
 };
 use crate::MinSupport;
 use negassoc_taxonomy::{ItemId, Taxonomy};
-use negassoc_txdb::obs::{metric, Event};
+use negassoc_txdb::obs::Event;
 use negassoc_txdb::TransactionSource;
 use std::fmt;
 use std::io;
-use std::time::Instant;
 
 /// A level's candidate set outgrew the configured cap (see
 /// [`GenLevelMiner::with_candidate_cap`]). Carried inside an
@@ -98,9 +103,6 @@ pub struct GenLevelMiner<'a, S: TransactionSource + ?Sized> {
     next_k: usize,
     done: bool,
     candidate_cap: Option<usize>,
-    pass_stats: Vec<PassStats>,
-    /// The number the next counting pass carries.
-    next_pass: u64,
     ctrl: Option<&'a CancelToken>,
     obs: Obs,
 }
@@ -111,9 +113,9 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
     /// The level-1 pass and every subsequent [`Self::mine_next_level`]
     /// check `ctrl` at block and pass boundaries; a cancelled step returns
     /// the token's [`io::ErrorKind::Interrupted`] error and consumes no
-    /// miner state. Every pass emits [`Event::PassStart`]/[`Event::PassEnd`]
-    /// to `obs`, and the block layer below it reports dispatch/merge and
-    /// scan counters.
+    /// miner state. Every pass runs through [`Obs::pass`], which numbers
+    /// it on `obs`'s run-wide ledger (label `"L1"`, `"L2"`, …), and the
+    /// block layer below it reports dispatch/merge and scan counters.
     #[allow(clippy::too_many_arguments)]
     // negassoc-lint: allow(L010) -- the level-1 scan polls inside count_items_parallel; the remaining loop is a bounded in-memory threshold sweep over item counts
     pub fn new(
@@ -127,32 +129,19 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
         obs: &Obs,
     ) -> io::Result<Self> {
         let ancestors = AncestorTable::new(tax);
-        let started = Instant::now();
-        obs.emit(|| Event::PassStart {
-            label: "L1".to_string(),
-            candidates: tax.len(),
-        });
-        let (counts, num_transactions) = count_items_parallel(
-            source,
-            tax.len(),
-            Extension::AllAncestors(&ancestors),
-            parallelism,
-            ctrl,
-            obs,
-        )?;
-        let pass_stats = vec![PassStats {
-            pass: 1,
-            label: "L1".to_string(),
-            candidates: tax.len(),
-            transactions: num_transactions,
-            threads: parallelism.resolve(),
-            wall: started.elapsed(),
-        }];
-        obs.emit(|| Event::PassEnd {
-            stats: pass_stats[0].clone(),
-        });
-        obs.bump(metric::PASSES_COMPLETED, 1);
-        obs.gauge(metric::LAST_PASS_CANDIDATES, tax.len() as u64);
+        let (counts, num_transactions) = obs.pass("L1", tax.len(), || {
+            let extension = Extension::AllAncestors(&ancestors);
+            let (counts, transactions) =
+                count_items_parallel(source, tax.len(), extension, parallelism, ctrl, obs)?;
+            let threads = parallelism.resolve();
+            Ok::<_, io::Error>((
+                (counts, transactions),
+                Scan {
+                    transactions,
+                    threads,
+                },
+            ))
+        })?;
         let minsup = min_support.to_count(num_transactions);
         let mut large = LargeItemsets::new(num_transactions, minsup);
         let mut large_1 = Vec::new();
@@ -177,8 +166,6 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             next_k: 2,
             done,
             candidate_cap: None,
-            pass_stats,
-            next_pass: 2,
             ctrl,
             obs: obs.clone(),
         })
@@ -215,29 +202,6 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
     /// generation, which needs the same relation).
     pub fn ancestors(&self) -> &AncestorTable {
         &self.ancestors
-    }
-
-    /// Telemetry for every counting pass this miner has made so far, in
-    /// execution order. Pass numbers count from 1 per miner instance (a
-    /// resumed miner starts again at 1 — it makes no level-1 pass, so its
-    /// first entry is whatever level it counts first), run on across
-    /// [`Self::take_pass_stats`], and skip the passes reported through
-    /// [`Self::skip_passes`].
-    pub fn pass_stats(&self) -> &[PassStats] {
-        &self.pass_stats
-    }
-
-    /// Drain the collected pass telemetry, leaving the miner's log empty.
-    pub fn take_pass_stats(&mut self) -> Vec<PassStats> {
-        std::mem::take(&mut self.pass_stats)
-    }
-
-    /// Record `n` counting passes someone else made since this miner's
-    /// last one (the naive driver's negative passes between levels), so
-    /// the number on this miner's next pass — its row and its
-    /// `pass_end` event — follows them.
-    pub fn skip_passes(&mut self, n: u64) {
-        self.next_pass += n;
     }
 
     /// Export the stepping state for checkpointing. No database pass.
@@ -298,15 +262,15 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             next_k: state.next_k,
             done: state.done,
             candidate_cap: None,
-            pass_stats: Vec::new(),
-            next_pass: 1,
             ctrl,
             obs: obs.clone(),
         }
     }
 
-    /// Mine one more level (one database pass). Returns the number of large
-    /// itemsets found at that level, or `None` when mining has finished.
+    /// Mine one more level (one database pass, labelled `"L{k}"` on the
+    /// ledger). Returns the number of large itemsets found at that level,
+    /// or `None` when mining has finished — without a pass when the level
+    /// has no candidates.
     pub fn mine_next_level(&mut self) -> io::Result<Option<usize>> {
         if self.done {
             return Ok(None);
@@ -338,42 +302,24 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
                 .into());
             }
         }
-        let started = Instant::now();
-        self.obs.emit(|| Event::PassStart {
-            label: format!("L{k}"),
-            candidates: candidates.len(),
-        });
         let extension = match self.strategy {
             GenStrategy::Basic => Extension::AllAncestors(&self.ancestors),
             GenStrategy::Cumulate => Extension::NeededAncestors(&self.ancestors),
         };
-        let run = count_mixed_parallel(
-            self.source,
-            candidates,
-            self.backend,
-            extension,
-            self.parallelism,
-            self.ctrl,
-            &self.obs,
-        )?;
-        let stats = PassStats {
-            pass: self.next_pass,
-            label: format!("L{k}"),
-            candidates: run.counts.len(),
-            transactions: run.transactions,
-            threads: run.threads,
-            wall: started.elapsed(),
-        };
-        self.obs.emit(|| Event::PassEnd {
-            stats: stats.clone(),
-        });
-        self.obs.bump(metric::PASSES_COMPLETED, 1);
-        self.obs
-            .gauge(metric::LAST_PASS_CANDIDATES, stats.candidates as u64);
-        self.pass_stats.push(stats);
-        self.next_pass += 1;
+        let counts = self.obs.pass(&format!("L{k}"), candidates.len(), || {
+            count_mixed_parallel(
+                self.source,
+                candidates,
+                self.backend,
+                extension,
+                self.parallelism,
+                self.ctrl,
+                &self.obs,
+            )
+            .map(PassRun::into_parts)
+        })?;
         self.frontier.clear();
-        for (set, count) in run.counts {
+        for (set, count) in counts {
             if count >= self.minsup {
                 self.frontier.push(set.clone());
                 self.large.insert(set, count);

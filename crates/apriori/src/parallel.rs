@@ -33,7 +33,7 @@ use std::io;
 
 pub use negassoc_txdb::block::Parallelism;
 pub use negassoc_txdb::ctrl::CancelToken;
-pub use negassoc_txdb::obs::{Obs, PassStats};
+pub use negassoc_txdb::obs::{Obs, PassStats, Scan};
 
 /// How a counting pass extends each transaction before counting it.
 ///
@@ -74,6 +74,17 @@ pub struct PassRun {
     pub transactions: u64,
     /// Worker threads the pass actually used.
     pub threads: usize,
+}
+
+impl PassRun {
+    /// The counts and the [`Scan`] that [`Obs::pass`] records for the pass.
+    pub fn into_parts(self) -> (Vec<(Itemset, u64)>, Scan) {
+        let scan = Scan {
+            transactions: self.transactions,
+            threads: self.threads,
+        };
+        (self.counts, scan)
+    }
 }
 
 /// Count supports of mixed-size `candidates` in a single pass of `source`

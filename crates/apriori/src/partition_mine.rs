@@ -23,12 +23,14 @@ use crate::count::CountingBackend;
 use crate::gen::{apriori_gen, pairs_of};
 use crate::generalized::{prune_ancestor_pairs, AncestorTable};
 use crate::itemset::{Itemset, LargeItemsets};
-use crate::parallel::{count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassStats};
+use crate::parallel::{
+    count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassRun, Scan,
+};
 use crate::MinSupport;
 use negassoc_taxonomy::fxhash::FxHashSet;
 use negassoc_taxonomy::{ItemId, Taxonomy};
 use negassoc_txdb::block::parallel_map;
-use negassoc_txdb::obs::{metric, Event};
+use negassoc_txdb::obs::Event;
 use negassoc_txdb::partition::partitions;
 use negassoc_txdb::shard::ShardAccess;
 use negassoc_txdb::vertical::TidBitmap;
@@ -48,8 +50,9 @@ use std::io;
 /// Phase 1 checks `ctrl` before mining each partition and phase 2 checks
 /// it at block boundaries; a cancelled run returns the token's
 /// [`io::ErrorKind::Interrupted`] error (see [`negassoc_txdb::ctrl`]).
-/// The phase-2 verification pass reports to `obs` under the
-/// `"partition_verify"` label.
+/// Both phases are passes on `obs`'s ledger: phase 1 as
+/// `"partition_local"` (0 candidates: each partition generates its own),
+/// the verification pass as `"partition_verify"`.
 ///
 /// # Panics
 /// Panics when `num_partitions == 0`.
@@ -79,22 +82,33 @@ pub fn partition_mine(
     // when allowed) and unioned in partition order.
     let parts = partitions(db, num_partitions);
     let ancestors_ref = ancestors.as_ref();
-    let locals = parallel_map(parts, parallelism.resolve(), |part| -> io::Result<_> {
-        if let Some(c) = ctrl {
-            c.check()?;
+    let threads = parallelism.resolve();
+    let global_candidates = obs.pass("partition_local", 0, || {
+        let locals = parallel_map(parts, threads, |part| -> io::Result<_> {
+            if let Some(c) = ctrl {
+                c.check()?;
+            }
+            let local_minsup = ((frac * part.len() as f64).ceil() as u64).max(1);
+            let mut local: FxHashSet<Itemset> = FxHashSet::default();
+            local_mine(&part, tax, local_minsup, ancestors_ref, &mut local)?;
+            if let Some(c) = ctrl {
+                c.record_progress(part.len() as u64);
+            }
+            Ok(local)
+        });
+        let mut global_candidates: FxHashSet<Itemset> = FxHashSet::default();
+        for local in locals {
+            global_candidates.extend(local?);
         }
-        let local_minsup = ((frac * part.len() as f64).ceil() as u64).max(1);
-        let mut local: FxHashSet<Itemset> = FxHashSet::default();
-        local_mine(&part, tax, local_minsup, ancestors_ref, &mut local)?;
-        if let Some(c) = ctrl {
-            c.record_progress(part.len() as u64);
-        }
-        Ok(local)
-    });
-    let mut global_candidates: FxHashSet<Itemset> = FxHashSet::default();
-    for local in locals {
-        global_candidates.extend(local?);
-    }
+        let transactions = total;
+        Ok::<_, io::Error>((
+            global_candidates,
+            Scan {
+                transactions,
+                threads,
+            },
+        ))
+    })?;
 
     verify_candidates(
         db,
@@ -144,29 +158,40 @@ pub fn partition_mine_shards<S: TransactionSource + ?Sized>(
     let ancestors = tax.map(AncestorTable::new);
 
     // Phase 1: shard-local mining, strictly one shard in memory at a time.
-    let mut global_candidates: FxHashSet<Itemset> = FxHashSet::default();
-    for i in 0..shards.shard_count() {
-        if let Some(c) = ctrl {
-            c.check()?;
+    let global_candidates = obs.pass("partition_local", 0, || {
+        let mut global_candidates: FxHashSet<Itemset> = FxHashSet::default();
+        let mut transactions = 0u64;
+        for i in 0..shards.shard_count() {
+            if let Some(c) = ctrl {
+                c.check()?;
+            }
+            let Some(db) = shards.load_shard(i)? else {
+                continue; // quarantined
+            };
+            if db.is_empty() {
+                continue;
+            }
+            let local_minsup = ((frac * db.len() as f64).ceil() as u64).max(1);
+            local_mine(
+                &db,
+                tax,
+                local_minsup,
+                ancestors.as_ref(),
+                &mut global_candidates,
+            )?;
+            transactions += db.len() as u64;
+            if let Some(c) = ctrl {
+                c.record_progress(db.len() as u64);
+            }
         }
-        let Some(db) = shards.load_shard(i)? else {
-            continue; // quarantined
-        };
-        if db.is_empty() {
-            continue;
-        }
-        let local_minsup = ((frac * db.len() as f64).ceil() as u64).max(1);
-        local_mine(
-            &db,
-            tax,
-            local_minsup,
-            ancestors.as_ref(),
-            &mut global_candidates,
-        )?;
-        if let Some(c) = ctrl {
-            c.record_progress(db.len() as u64);
-        }
-    }
+        Ok::<_, io::Error>((
+            global_candidates,
+            Scan {
+                transactions,
+                threads: 1,
+            },
+        ))
+    })?;
 
     verify_candidates(
         source,
@@ -203,38 +228,24 @@ fn verify_candidates<S: TransactionSource + ?Sized>(
     // Sorted candidates decouple the verification pass (and the insertion
     // order of everything downstream) from hash-set iteration order.
     candidates.sort_unstable();
-    let verify_size = candidates.len();
     obs.emit(|| Event::CandidateSet {
         label: "partition_verify".to_string(),
-        size: verify_size,
+        size: candidates.len(),
     });
-    obs.emit(|| Event::PassStart {
-        label: "partition_verify".to_string(),
-        candidates: verify_size,
-    });
-    let verify_started = std::time::Instant::now();
     let extension = ancestors.map_or(Extension::Literal, Extension::NeededAncestors);
-    let counted = count_mixed_parallel(
-        source,
-        candidates,
-        backend,
-        extension,
-        parallelism,
-        ctrl,
-        obs,
-    )?;
-    obs.emit(|| Event::PassEnd {
-        stats: PassStats {
-            pass: 2,
-            label: "partition_verify".to_string(),
-            candidates: verify_size,
-            transactions: counted.transactions,
-            threads: counted.threads,
-            wall: verify_started.elapsed(),
-        },
-    });
-    obs.bump(metric::PASSES_COMPLETED, 1);
-    for (set, count) in counted.counts {
+    let counted = obs.pass("partition_verify", candidates.len(), || {
+        count_mixed_parallel(
+            source,
+            candidates,
+            backend,
+            extension,
+            parallelism,
+            ctrl,
+            obs,
+        )
+        .map(PassRun::into_parts)
+    })?;
+    for (set, count) in counted {
         if let Some(c) = ctrl {
             c.check()?;
         }

@@ -294,22 +294,17 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// Extract completed-pass telemetry from recorded trace events,
-/// renumbered `1..=n`: sub-phases restart their local pass numbering, and
-/// the chronological `pass_end` order *is* the run order, so the result
-/// matches the renumbered `pass_stats` of the run's own report exactly.
+/// Extract completed-pass telemetry from recorded trace events. Every
+/// `pass_end` carries its pass ledger row, so for one run's events the
+/// result equals the `pass_stats` of the run's own report.
 pub fn pass_rows_from_events(events: &[Event]) -> Vec<PassStats> {
-    let mut rows: Vec<PassStats> = events
+    events
         .iter()
         .filter_map(|e| match e {
             Event::PassEnd { stats } => Some(stats.clone()),
             _ => None,
         })
-        .collect();
-    for (i, r) in rows.iter_mut().enumerate() {
-        r.pass = i as u64 + 1;
-    }
-    rows
+        .collect()
 }
 
 /// Join pre-indented JSON items one per line with commas between: the
@@ -369,7 +364,7 @@ pub struct BackendRun {
     pub backend: &'static str,
     /// Worker threads (1 = sequential).
     pub threads: usize,
-    /// Per-pass telemetry, renumbered `1..=n`.
+    /// Per-pass telemetry, numbered `1..=n`.
     pub rows: Vec<PassStats>,
 }
 
@@ -794,7 +789,7 @@ fn positive_miners(transactions: usize, minsup: MinSupport, reps: usize) -> Vec<
 fn counting(transactions: usize, minsup: MinSupport, reps: usize) -> Vec<AblationRow> {
     use negassoc_apriori::cumulate::cumulate;
     use negassoc_apriori::generalized::AncestorTable;
-    use negassoc_apriori::parallel::{count_mixed_parallel, Extension};
+    use negassoc_apriori::parallel::{count_mixed_parallel, Extension, PassRun};
 
     let ds = short_dataset(Some(transactions));
     let (db, tax, seq) = (&ds.db, &ds.taxonomy, Parallelism::Sequential);
@@ -820,25 +815,15 @@ fn counting(transactions: usize, minsup: MinSupport, reps: usize) -> Vec<Ablatio
     for &(name, backend) in BENCH_BACKENDS {
         for threads in [1, 2, 4] {
             let run = move |obs: &Obs| {
-                let start = std::time::Instant::now();
                 let ext = Extension::NeededAncestors(ancestors);
                 let par = Parallelism::Threads(threads);
-                let run =
-                    count_mixed_parallel(db, candidates.clone(), backend, ext, par, None, obs)
-                        .expect("mixed-size count");
-                // A bare counting pass has no miner around it to record
-                // its pass row, so the bench records it.
-                obs.emit(|| Event::PassEnd {
-                    stats: PassStats {
-                        pass: 1,
-                        label: "mixed".to_owned(),
-                        candidates: candidates.len(),
-                        transactions: run.transactions,
-                        threads: run.threads,
-                        wall: start.elapsed(),
-                    },
-                });
-                sorted(run.counts)
+                let counts = obs
+                    .pass("mixed", candidates.len(), || {
+                        count_mixed_parallel(db, candidates.clone(), backend, ext, par, None, obs)
+                            .map(PassRun::into_parts)
+                    })
+                    .expect("mixed-size count");
+                sorted(counts)
             };
             variants.push((format!("mixed/{name}/{threads}"), Box::new(run)));
         }
@@ -1266,7 +1251,7 @@ mod tests {
     #[test]
     fn event_derived_rows_match_the_run_report() {
         // The rows rebuilt from recorded pass_end events must equal the
-        // run's own renumbered pass_stats — same telemetry, two readers.
+        // run's own pass_stats — same telemetry, two readers.
         let ds = short_dataset(Some(400));
         let (ring, obs) = recorder();
         let out = NegativeMiner::new(bench_config(0.05))

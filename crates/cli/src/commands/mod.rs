@@ -14,7 +14,7 @@ use negassoc_apriori::count::CountingBackend;
 use negassoc_apriori::parallel::{Parallelism, PassStats};
 use negassoc_apriori::Itemset;
 use negassoc_taxonomy::Taxonomy;
-use negassoc_txdb::obs::{Event, MetricKind, Metrics};
+use negassoc_txdb::obs::{MetricKind, Metrics};
 
 /// Render an itemset through the taxonomy's names when possible, falling
 /// back to raw ids for items outside the taxonomy.
@@ -69,7 +69,7 @@ pub(crate) fn parse_backend(opts: &Opts) -> Result<CountingBackend, String> {
 /// Print the per-pass counting telemetry table (`--pass-stats`).
 pub(crate) fn print_pass_stats(stats: &[PassStats]) {
     if stats.is_empty() {
-        println!("no per-pass telemetry (phase does not decompose into level passes)");
+        println!("no pass telemetry: the run made no database pass");
         return;
     }
     println!("pass  label     candidates  transactions  threads      wall");
@@ -86,18 +86,11 @@ pub(crate) fn print_pass_stats(stats: &[PassStats]) {
     }
 }
 
-/// Print pass telemetry for an *interrupted* run from recorded trace
-/// events: only passes that recorded a `pass_end` appear (the in-flight
-/// pass never did), and the table is flagged as partial so its numbers are
-/// never mistaken for a complete run's.
-pub(crate) fn print_interrupted_pass_stats(events: &[Event]) {
-    let completed: Vec<PassStats> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::PassEnd { stats } => Some(stats.clone()),
-            _ => None,
-        })
-        .collect();
+/// Print pass telemetry for an *interrupted* run from its pass ledger:
+/// only completed passes have a row (the in-flight pass never got one),
+/// and the table is flagged as partial so its numbers are never mistaken
+/// for a complete run's.
+pub(crate) fn print_interrupted_pass_stats(completed: &[PassStats]) {
     if completed.is_empty() {
         println!("run interrupted before any pass completed; no pass telemetry");
         return;
@@ -106,7 +99,7 @@ pub(crate) fn print_interrupted_pass_stats(events: &[Event]) {
         "run interrupted: {} completed pass(es); the in-flight pass is excluded",
         completed.len()
     );
-    print_pass_stats(&completed);
+    print_pass_stats(completed);
 }
 
 /// Print the metrics registry snapshot (`--metrics`), sorted by name.

@@ -9,7 +9,7 @@ use crate::io::{load_db_observed, load_manifest_observed, load_taxonomy};
 use crate::opts::{parse_bytes, Opts};
 use crate::signal;
 use negassoc::config::{Driver, GenAlgorithm};
-use negassoc::obs::{FanoutSink, JsonLinesSink, Metrics, Obs, RingBufferSink, TraceSink};
+use negassoc::obs::{JsonLinesSink, Metrics, Obs, TraceSink};
 use negassoc::{Deadline, Error, MinerConfig, NegativeMiner, RunControl};
 use negassoc_apriori::MinSupport;
 use negassoc_txdb::fault::{FaultPlan, FaultySource, SourceFault, SourceFaultKind};
@@ -46,58 +46,38 @@ const KNOWN: &[&str] = &[
     "metrics!",
 ];
 
-/// How many trace events the in-memory ring keeps for end-of-run reporting
-/// (`--pass-stats` on interrupted runs). Plenty for any realistic pass
-/// count; the JSON-lines file, when requested, keeps everything.
-const RING_CAPACITY: usize = 4096;
-
 /// The run's observer plus the sinks its end-of-run report reads.
 struct Observer {
     obs: Obs,
-    /// Recent events, so an interrupted `--pass-stats` can list the passes
-    /// that completed.
-    ring: Arc<RingBufferSink>,
     /// The `--trace` path and its JSON-lines sink.
     trace: Option<(String, Arc<JsonLinesSink>)>,
     /// The `--metrics` registry (attached only when `metrics` is set).
     metrics: Arc<Metrics>,
 }
 
-/// Build the observer: a JSON-lines trace file (`trace`), the in-memory
-/// event ring (`ring`) and a metrics registry (`metrics`). With both a
-/// trace file and the ring, one [`FanoutSink`] feeds the two, so each
-/// sees every event. All are off by default — the no-op observer costs
-/// nothing on the hot path (see DESIGN.md §11).
-fn observer(trace: Option<&str>, ring: bool, metrics: bool) -> Result<Observer, CliError> {
-    let ring_sink = Arc::new(RingBufferSink::new(RING_CAPACITY));
+/// Build the observer: a JSON-lines trace file (`trace`) and a metrics
+/// registry (`metrics`). Both are off by default — the no-op observer
+/// costs nothing on the hot path (see DESIGN.md §11). `--pass-stats`
+/// needs neither: it reads the observer's pass ledger.
+fn observer(trace: Option<&str>, metrics: bool) -> Result<Observer, CliError> {
+    let mut obs = Obs::disabled();
     let trace = match trace {
         Some(path) => {
-            let sink = JsonLinesSink::create(path)
-                .map_err(|e| CliError::Failure(format!("{path}: {e}")))?;
-            Some((path.to_string(), Arc::new(sink)))
+            let sink = Arc::new(
+                JsonLinesSink::create(path)
+                    .map_err(|e| CliError::Failure(format!("{path}: {e}")))?,
+            );
+            obs = obs.with_sink(sink.clone());
+            Some((path.to_string(), sink))
         }
         None => None,
     };
-    let sink: Option<Arc<dyn TraceSink>> = match (&trace, ring) {
-        (Some((_, json)), true) => Some(Arc::new(FanoutSink::new(vec![
-            ring_sink.clone(),
-            json.clone(),
-        ]))),
-        (Some((_, json)), false) => Some(json.clone()),
-        (None, true) => Some(ring_sink.clone()),
-        (None, false) => None,
-    };
-    let mut obs = Obs::disabled();
-    if let Some(sink) = sink {
-        obs = obs.with_sink(sink);
-    }
     let registry = Arc::new(Metrics::new());
     if metrics {
         obs = obs.with_metrics(registry.clone());
     }
     Ok(Observer {
         obs,
-        ring: ring_sink,
         trace,
         metrics: registry,
     })
@@ -178,14 +158,9 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
 
     let Observer {
         obs,
-        ring,
         trace: trace_sink,
         metrics,
-    } = observer(
-        opts.get("trace"),
-        opts.flag("pass-stats") || opts.flag("metrics"),
-        opts.flag("metrics"),
-    )?;
+    } = observer(opts.get("trace"), opts.flag("metrics"))?;
 
     // Options validated; only now touch the filesystem.
     let db = match (opts.get("data"), opts.get("manifest")) {
@@ -268,11 +243,11 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
     .map_err(|e| match e {
         Error::Cancelled { .. } => {
             // An interrupted run still accounts for itself — but only for
-            // work that finished. Completed passes come from the event
-            // ring (the in-flight pass never recorded a pass_end) and the
-            // table is explicitly flagged as partial.
+            // work that finished. Completed passes come from the pass
+            // ledger (the in-flight pass never got a row) and the table is
+            // explicitly flagged as partial.
             if opts.flag("pass-stats") {
-                print_interrupted_pass_stats(&ring.snapshot());
+                print_interrupted_pass_stats(&obs.passes());
             }
             if opts.flag("metrics") {
                 print_metrics(&metrics);
@@ -428,39 +403,54 @@ fn write_rules_csv(
 mod tests {
     use super::*;
     use negassoc::obs::Event;
-    use negassoc::PassStats;
+    use negassoc_taxonomy::TaxonomyBuilder;
+    use negassoc_txdb::TransactionDbBuilder;
 
     #[test]
-    fn trace_and_pass_stats_both_see_every_pass_end() {
+    fn trace_pass_ends_equal_the_ledger_rows() {
+        // `--pass-stats` reads the observer's ledger and `--trace` writes
+        // its events: both must show the same passes, numbered alike.
         let path =
             std::env::temp_dir().join(format!("negrules-observer-{}.jsonl", std::process::id()));
-        let path_str = path.to_str().unwrap();
-        let observer = observer(Some(path_str), true, false).unwrap();
-        observer.obs.emit(|| Event::PassEnd {
-            stats: PassStats {
-                pass: 1,
-                label: "L1".into(),
-                candidates: 3,
-                transactions: 10,
-                threads: 1,
-                wall: Duration::from_millis(1),
-            },
-        });
-        observer.obs.flush();
+        let observer = observer(path.to_str(), false).unwrap();
+        let mut tb = TaxonomyBuilder::new();
+        let drinks = tb.add_root("drinks");
+        let coke = tb.add_child(drinks, "coke").unwrap();
+        let pepsi = tb.add_child(drinks, "pepsi").unwrap();
+        let chips = tb.add_root("chips");
+        let tax = tb.build();
+        let mut db = TransactionDbBuilder::new();
+        for _ in 0..30 {
+            db.add([coke, chips]);
+        }
+        for _ in 0..20 {
+            db.add([pepsi]);
+        }
+        let config = MinerConfig {
+            min_support: MinSupport::Fraction(0.2),
+            min_ri: 0.25,
+            max_candidates_per_pass: Some(1),
+            ..MinerConfig::default()
+        };
+        let ctrl = RunControl::new().with_observer(observer.obs.clone());
+        let out = NegativeMiner::new(config)
+            .mine_with_controls(&db.build(), &tax, None, None, &ctrl)
+            .unwrap();
+        let rows = observer.obs.passes();
+        assert_eq!(rows, out.report.pass_stats);
+        assert!(rows.iter().any(|r| r.label == "negative"), "{rows:?}");
 
-        let ring_ends = observer
-            .ring
-            .snapshot()
-            .iter()
-            .filter(|e| matches!(e, Event::PassEnd { .. }))
-            .count();
-        assert_eq!(ring_ends, 1, "the --pass-stats ring saw the pass end");
         let trace = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            trace.matches("\"event\":\"pass_end\"").count(),
-            1,
-            "the --trace file saw the pass end: {trace}"
-        );
         std::fs::remove_file(&path).ok();
+        let ends: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("\"event\":\"pass_end\""))
+            .collect();
+        assert_eq!(ends.len(), rows.len(), "{trace}");
+        for (line, row) in ends.iter().zip(&rows) {
+            // Past its `t_us` stamp, each line is the row's own `pass_end`.
+            let event = Event::PassEnd { stats: row.clone() }.to_json_line(None);
+            assert!(line.ends_with(&event[1..]), "{line} vs {event}");
+        }
     }
 }

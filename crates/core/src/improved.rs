@@ -17,14 +17,14 @@ use crate::checkpoint::{CheckpointManager, NegativeCheckpoint, PositiveCheckpoin
 use crate::config::{GenAlgorithm, MinerConfig};
 use crate::counting::confirm_negatives;
 use crate::error::Error;
-use crate::naive::{renumber, DriverOutcome};
+use crate::naive::DriverOutcome;
 use crate::substitutes::SubstituteKnowledge;
 use negassoc_apriori::est_merge::est_merge;
 use negassoc_apriori::generalized::AncestorTable;
 use negassoc_apriori::levelwise::{
     CandidateBudgetExceeded, GenLevelMiner, GenStrategy, MinerState,
 };
-use negassoc_apriori::parallel::{CancelToken, Obs, PassStats};
+use negassoc_apriori::parallel::{CancelToken, Obs};
 use negassoc_apriori::partition_mine::{partition_mine, partition_mine_shards};
 use negassoc_apriori::{Itemset, LargeItemsets};
 use negassoc_taxonomy::fxhash::FxHashSet;
@@ -69,7 +69,7 @@ fn budget_overflow(e: &Error) -> Option<CandidateBudgetExceeded> {
 /// `ctrl` (when given) is checked at every pass, level, and candidate-chunk
 /// boundary; a cancelled run errors out without partial results, leaving
 /// whatever checkpoints its completed passes already persisted. Every
-/// counting pass reports to `obs`.
+/// database pass is a row on `obs`'s ledger, which must start empty.
 pub(crate) fn run_improved_with_checkpoints<S: TransactionSource + ?Sized>(
     source: &S,
     tax: &Taxonomy,
@@ -86,30 +86,26 @@ pub(crate) fn run_improved_with_checkpoints<S: TransactionSource + ?Sized>(
 
     // Phases 1+2: generalized large itemsets, then negative candidates of
     // every size at once — or whatever part of that a checkpoint already
-    // paid for.
+    // paid for. `restored` counts the passes the checkpoint paid for; the
+    // passes this run makes are on the ledger.
     let positive_start = Instant::now();
-    let (large, mut passes, levels, mut pass_stats, prepared) = match resume {
-        Resume::Negative(saved) => {
-            let large = large_of(&saved.positive.state);
-            // The checkpoint paid for the positive passes; there is no
-            // telemetry to report for work this run did not do.
-            (
-                large,
-                saved.positive.passes,
-                saved.positive.levels,
-                Vec::new(),
-                Some((saved.candidates, saved.stats)),
-            )
-        }
+    let (large, restored, levels, prepared) = match resume {
+        Resume::Negative(saved) => (
+            large_of(&saved.positive.state),
+            saved.positive.passes,
+            saved.positive.levels,
+            Some((saved.candidates, saved.stats)),
+        ),
         Resume::Positive(saved) if positive_strategy(config).is_some() => {
+            let restored = saved.passes;
             let attempt = resume_positive(source, tax, config, saved, ckpt, ctrl, obs);
-            let (l, p, lv, st) = positive_or_degraded(attempt, source, tax, config, ctrl, obs)?;
-            (l, p, lv, st, None)
+            let (large, levels) = positive_or_degraded(attempt, source, tax, config, ctrl, obs)?;
+            (large, restored, levels, None)
         }
         Resume::Positive(_) | Resume::Fresh => {
             let attempt = mine_positive(source, tax, config, ckpt, ctrl, obs);
-            let (l, p, lv, st) = positive_or_degraded(attempt, source, tax, config, ctrl, obs)?;
-            (l, p, lv, st, None)
+            let (large, levels) = positive_or_degraded(attempt, source, tax, config, ctrl, obs)?;
+            (large, 0, levels, None)
         }
     };
     let positive_time = positive_start.elapsed();
@@ -123,7 +119,7 @@ pub(crate) fn run_improved_with_checkpoints<S: TransactionSource + ?Sized>(
                 c.save_negative(&NegativeCheckpoint {
                     positive: PositiveCheckpoint {
                         state: state_of(&large),
-                        passes,
+                        passes: restored + passes_made(obs),
                         levels,
                     },
                     candidates: cands.clone(),
@@ -136,7 +132,7 @@ pub(crate) fn run_improved_with_checkpoints<S: TransactionSource + ?Sized>(
 
     // Phase 3: a single counting pass (or several under the memory cap).
     let ancestors = AncestorTable::new(tax);
-    let (negatives, neg_passes, neg_stats) = confirm_negatives(
+    let negatives = confirm_negatives(
         source,
         &ancestors,
         cands,
@@ -145,25 +141,25 @@ pub(crate) fn run_improved_with_checkpoints<S: TransactionSource + ?Sized>(
         large.min_support_count(),
         config.min_ri,
         config.parallelism,
-        pass_stats.len() as u64 + 1,
         ctrl,
         obs,
     )?;
-    passes += neg_passes;
-    pass_stats.extend(neg_stats);
-    renumber(&mut pass_stats);
     let negative_time = negative_start.elapsed();
 
     Ok(DriverOutcome {
         large,
         negatives,
         candidate_stats,
-        passes,
+        passes: restored + passes_made(obs),
         levels,
         positive_time,
         negative_time,
-        pass_stats,
     })
+}
+
+/// Passes this run has completed so far: the rows on its ledger.
+fn passes_made(obs: &Obs) -> u64 {
+    obs.passes().len() as u64
 }
 
 /// The chunk cap for the counting pass: the tighter of the explicit §2.5
@@ -190,22 +186,22 @@ fn check_candidate_budget(len: usize, size: usize, cap: Option<usize>) -> Result
     }
 }
 
-/// The degradation ladder for the positive phase. A successful (or
-/// non-budget-related) result passes through untouched. When the
-/// level-wise miner tripped its candidate cap, fall back to the Partition
-/// algorithm (two passes, per-partition working sets) if the source is an
-/// in-memory database, or to its sharded variant (one shard in memory at
-/// a time) if the source exposes shards; otherwise surface a typed
-/// [`Error::Budget`] so the caller can decide, instead of letting the
-/// process OOM-abort.
+/// The degradation ladder for the positive phase, on `(large, levels)`.
+/// A successful (or non-budget-related) result passes through untouched.
+/// When the level-wise miner tripped its candidate cap, fall back to the
+/// Partition algorithm (two passes, per-partition working sets) if the
+/// source is an in-memory database, or to its sharded variant (one shard
+/// in memory at a time) if the source exposes shards; otherwise surface a
+/// typed [`Error::Budget`] so the caller can decide, instead of letting
+/// the process OOM-abort.
 fn positive_or_degraded<S: TransactionSource + ?Sized>(
-    result: Result<(LargeItemsets, u64, u64, Vec<PassStats>), Error>,
+    result: Result<(LargeItemsets, u64), Error>,
     source: &S,
     tax: &Taxonomy,
     config: &MinerConfig,
     ctrl: Option<&CancelToken>,
     obs: &Obs,
-) -> Result<(LargeItemsets, u64, u64, Vec<PassStats>), Error> {
+) -> Result<(LargeItemsets, u64), Error> {
     let err = match result {
         Ok(ok) => return Ok(ok),
         Err(e) => e,
@@ -229,7 +225,7 @@ fn positive_or_degraded<S: TransactionSource + ?Sized>(
                 obs,
             )?;
             let levels = large.max_level() as u64;
-            return Ok((large, 2, levels, Vec::new()));
+            return Ok((large, levels));
         }
         return Err(Error::Budget(format!(
             "{overflow}; the partitioned fallback needs an in-memory database and this \
@@ -251,11 +247,10 @@ fn positive_or_degraded<S: TransactionSource + ?Sized>(
         ctrl,
         obs,
     )?;
+    // Partition adds its two passes (local mining, then verification) to
+    // the ledger after the level passes made before the cap tripped.
     let levels = large.max_level() as u64;
-    // Partition makes exactly two full passes regardless of depth. Its
-    // phase structure (local mining + one verification pass) does not map
-    // onto per-level pass telemetry, so it reports none.
-    Ok((large, 2, levels, Vec::new()))
+    Ok((large, levels))
 }
 
 /// The level-wise strategy of the configured algorithm, `None` for
@@ -293,31 +288,33 @@ fn state_of(large: &LargeItemsets) -> MinerState {
     }
 }
 
-/// Step a level miner to completion, checkpointing after every pass.
+/// Step a level miner to completion from `levels` mined levels,
+/// checkpointing after every pass; returns the levels mined in total. The
+/// checkpoints count `restored` passes plus those on `obs`'s ledger.
 fn step_to_completion<S: TransactionSource + ?Sized>(
     miner: &mut GenLevelMiner<'_, S>,
-    passes: &mut u64,
-    levels: &mut u64,
+    restored: u64,
+    mut levels: u64,
     ckpt: Option<&CheckpointManager>,
-) -> Result<(), Error> {
+    obs: &Obs,
+) -> Result<u64, Error> {
     while let Some(found) = miner.mine_next_level()? {
-        *passes += 1;
         if found > 0 {
-            *levels += 1;
+            levels += 1;
         }
         if let Some(c) = ckpt {
             c.save_positive(&PositiveCheckpoint {
                 state: miner.state(),
-                passes: *passes,
-                levels: *levels,
+                passes: restored + passes_made(obs),
+                levels,
             })?;
         }
     }
-    Ok(())
+    Ok(levels)
 }
 
 /// Phase 1 dispatch over the configured positive algorithm. Returns the
-/// results plus (passes, levels).
+/// results plus the number of levels mined.
 fn mine_positive<S: TransactionSource + ?Sized>(
     source: &S,
     tax: &Taxonomy,
@@ -325,7 +322,7 @@ fn mine_positive<S: TransactionSource + ?Sized>(
     ckpt: Option<&CheckpointManager>,
     ctrl: Option<&CancelToken>,
     obs: &Obs,
-) -> Result<(LargeItemsets, u64, u64, Vec<PassStats>), Error> {
+) -> Result<(LargeItemsets, u64), Error> {
     match positive_strategy(config) {
         Some(strategy) => {
             let mut miner = GenLevelMiner::new(
@@ -339,18 +336,15 @@ fn mine_positive<S: TransactionSource + ?Sized>(
                 obs,
             )?
             .with_candidate_cap(budget_candidate_cap(config));
-            let mut passes = 1u64;
-            let mut levels = 1u64;
             if let Some(c) = ckpt {
                 c.save_positive(&PositiveCheckpoint {
                     state: miner.state(),
-                    passes,
-                    levels,
+                    passes: passes_made(obs),
+                    levels: 1,
                 })?;
             }
-            step_to_completion(&mut miner, &mut passes, &mut levels, ckpt)?;
-            let stats = miner.take_pass_stats();
-            Ok((miner.large().clone(), passes, levels, stats))
+            let levels = step_to_completion(&mut miner, 0, 1, ckpt, obs)?;
+            Ok((miner.large().clone(), levels))
         }
         None => {
             let GenAlgorithm::EstMerge(est_config) = config.algorithm else {
@@ -358,7 +352,7 @@ fn mine_positive<S: TransactionSource + ?Sized>(
                     "positive_strategy returned None for a level-wise algorithm".into(),
                 ));
             };
-            let (large, stats) = est_merge(
+            let (large, _) = est_merge(
                 source,
                 tax,
                 config.min_support,
@@ -368,11 +362,10 @@ fn mine_positive<S: TransactionSource + ?Sized>(
                 ctrl,
                 obs,
             )?;
+            // EstMerge's sample and batch passes are on the ledger; they
+            // batch candidates across levels, so they are not level passes.
             let levels = large.max_level() as u64;
-            // EstMerge batches candidates across levels and interleaves
-            // sample scans, so its passes do not decompose into per-level
-            // telemetry; only the ledger count is reported.
-            Ok((large, stats.passes, levels, Vec::new()))
+            Ok((large, levels))
         }
     }
 }
@@ -387,7 +380,7 @@ fn resume_positive<S: TransactionSource + ?Sized>(
     ckpt: Option<&CheckpointManager>,
     ctrl: Option<&CancelToken>,
     obs: &Obs,
-) -> Result<(LargeItemsets, u64, u64, Vec<PassStats>), Error> {
+) -> Result<(LargeItemsets, u64), Error> {
     let Some(strategy) = positive_strategy(config) else {
         return Err(Error::Invariant(
             "resume_positive called for a non-level-wise algorithm".into(),
@@ -404,11 +397,8 @@ fn resume_positive<S: TransactionSource + ?Sized>(
         obs,
     )
     .with_candidate_cap(budget_candidate_cap(config));
-    let mut passes = saved.passes;
-    let mut levels = saved.levels;
-    step_to_completion(&mut miner, &mut passes, &mut levels, ckpt)?;
-    let stats = miner.take_pass_stats();
-    Ok((miner.large().clone(), passes, levels, stats))
+    let levels = step_to_completion(&mut miner, saved.passes, saved.levels, ckpt, obs)?;
+    Ok((miner.large().clone(), levels))
 }
 
 /// Phase 2: compress the taxonomy (optionally) and generate candidates from
@@ -666,7 +656,17 @@ mod tests {
             memory_budget: Some(EST_BYTES_PER_CANDIDATE * 4),
             ..config()
         };
-        let degraded = run_improved(&db, &tax, &budget, None).unwrap();
+        let obs = Obs::disabled();
+        let degraded =
+            run_improved_with_checkpoints(&db, &tax, &budget, None, None, None, &obs).unwrap();
+        // Every pass the run made counts: the L1 pass before the cap
+        // tripped at level 2, Partition's two, then the negative pass.
+        let labels: Vec<String> = obs.passes().into_iter().map(|s| s.label).collect();
+        assert_eq!(
+            labels,
+            ["L1", "partition_local", "partition_verify", "negative"]
+        );
+        assert_eq!(degraded.passes, 4);
         let norm = |v: &[crate::candidates::NegativeItemset]| {
             let mut x: Vec<(Vec<ItemId>, u64)> = v
                 .iter()

@@ -34,7 +34,8 @@ pub struct MiningOutcome {
 /// Accounting for one mining run.
 #[derive(Clone, Debug, Default)]
 pub struct MiningReport {
-    /// Database passes made in total.
+    /// Database passes made in total: those a checkpoint restored plus
+    /// this run's own (the rows of [`Self::pass_stats`]).
     pub passes: u64,
     /// Positive levels mined (the paper's `n`).
     pub levels: u64,
@@ -54,11 +55,12 @@ pub struct MiningReport {
     pub negative_time: Duration,
     /// Wall time of rule generation.
     pub rule_time: Duration,
-    /// Per-pass counting telemetry in execution order (candidates counted,
-    /// transactions scanned, worker threads used, wall time). Empty for
-    /// phases that do not decompose into per-level passes (EstMerge
-    /// positive mining, the partition fallback) and for passes a resumed
-    /// run skipped thanks to a checkpoint.
+    /// One row per database pass this run made, in execution order and
+    /// numbered `1..=n` (candidates counted, transactions scanned, worker
+    /// threads used, wall time): the run's pass ledger (see
+    /// [`Obs::pass`]). Every miner reports its passes here, EstMerge and
+    /// the Partition fallback included; passes a resumed run restored from
+    /// a checkpoint are counted in [`Self::passes`] but have no row.
     pub pass_stats: Vec<PassStats>,
     /// Degraded-coverage marker: `Some(Completeness::Degraded { .. })`
     /// when the source quarantined shards (the answer is exact over the
@@ -159,6 +161,10 @@ impl NegativeMiner {
     /// EstMerge only the negative phase is checkpointed, because EstMerge
     /// has no per-level stepping. Without a directory, cancellation
     /// simply abandons the run ([`Completeness::NoCheckpoint`]).
+    ///
+    /// Each run starts by emptying the pass ledger of the control's
+    /// observer, so its passes are numbered from 1 and, when the run is
+    /// interrupted, [`Obs::passes`] lists the passes it completed.
     pub fn mine_with_controls<S: TransactionSource + ?Sized>(
         &self,
         source: &S,
@@ -168,6 +174,8 @@ impl NegativeMiner {
         ctrl: &RunControl,
     ) -> Result<MiningOutcome, Error> {
         self.config.validate()?;
+        let obs = ctrl.obs();
+        obs.clear_passes();
         let manager = match checkpoint_dir {
             Some(dir) => {
                 if self.config.driver != Driver::Improved {
@@ -180,7 +188,7 @@ impl NegativeMiner {
                 Some(
                     CheckpointManager::new(dir, &self.config, tax, source.len_hint())?
                         .with_source_digest(source.content_digest())
-                        .with_obs(ctrl.obs().clone()),
+                        .with_obs(obs.clone()),
                 )
             }
             None => None,
@@ -188,7 +196,6 @@ impl NegativeMiner {
         // Keep the guard alive for the whole run; dropping it joins the
         // monitor thread.
         let _watchdog = ctrl.arm();
-        let obs = ctrl.obs();
         // Pre-flight: a token already tripped (an expired deadline, a
         // Ctrl-C during argument parsing) must cancel before the first
         // pass ever touches the source.
@@ -267,7 +274,7 @@ impl NegativeMiner {
             positive_time: outcome.positive_time,
             negative_time: outcome.negative_time,
             rule_time,
-            pass_stats: outcome.pass_stats,
+            pass_stats: obs.passes(),
             completeness: if quarantined.is_empty() {
                 None
             } else {

@@ -11,7 +11,7 @@ use crate::config::{GenAlgorithm, MinerConfig};
 use crate::counting::confirm_negatives;
 use crate::error::Error;
 use negassoc_apriori::levelwise::{GenLevelMiner, GenStrategy};
-use negassoc_apriori::parallel::{CancelToken, Obs, PassStats};
+use negassoc_apriori::parallel::{CancelToken, Obs};
 use negassoc_apriori::LargeItemsets;
 use negassoc_taxonomy::Taxonomy;
 use negassoc_txdb::TransactionSource;
@@ -22,7 +22,8 @@ pub(crate) struct DriverOutcome {
     pub large: LargeItemsets,
     pub negatives: Vec<NegativeItemset>,
     pub candidate_stats: CandidateStats,
-    /// Database passes made by this driver.
+    /// Database passes: those a checkpoint restored plus this run's own,
+    /// which are the rows on the run's (initially empty) `obs` ledger.
     pub passes: u64,
     /// Positive levels mined (the paper's `n`).
     pub levels: u64,
@@ -30,24 +31,11 @@ pub(crate) struct DriverOutcome {
     pub positive_time: Duration,
     /// Wall time spent generating and counting negative candidates.
     pub negative_time: Duration,
-    /// Per-pass counting telemetry, in execution order with 1-based pass
-    /// numbers. May be empty for paths that do not stream through the
-    /// instrumented counter (EstMerge positive phase, checkpoint-resumed
-    /// work already paid for).
-    pub pass_stats: Vec<PassStats>,
-}
-
-/// Renumber `stats` 1..=n in place (drivers splice together stats from
-/// sub-phases whose local numbering restarts).
-pub(crate) fn renumber(stats: &mut [PassStats]) {
-    for (i, s) in stats.iter_mut().enumerate() {
-        s.pass = i as u64 + 1;
-    }
 }
 
 /// Run the naive driver. `ctrl` (when given) is checked at every pass and
 /// level boundary; a cancelled run errors without partial results. Every
-/// counting pass reports to `obs`.
+/// counting pass is a row on `obs`'s ledger, which must start empty.
 pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
     source: &S,
     tax: &Taxonomy,
@@ -76,9 +64,7 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
         obs,
     )?;
     let mut positive_time = positive_start.elapsed();
-    let mut pass_stats: Vec<PassStats> = miner.take_pass_stats();
     let mut negative_time = Duration::ZERO;
-    let mut passes = 1u64; // level-1 pass
     let mut levels = 1u64;
     let mut negatives = Vec::new();
     let mut candidate_stats = CandidateStats::default();
@@ -89,16 +75,8 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
         let positive_start = Instant::now();
         let found = miner.mine_next_level()?;
         positive_time += positive_start.elapsed();
-        pass_stats.extend(miner.take_pass_stats());
-        let found = match found {
-            // No pass is made when no positive candidates exist.
-            None => break,
-            Some(found) => {
-                passes += 1;
-                found
-            }
-        };
-        if found == 0 {
+        // `None`: no candidates, so no pass; `Some(0)`: the pass found none.
+        if found.unwrap_or(0) == 0 {
             break;
         }
         levels += 1;
@@ -114,7 +92,7 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
         generator.extend_from_level(level, &mut set)?;
         let (cands, stats) = set.into_candidates();
         merge_stats(&mut candidate_stats, &stats);
-        let (mut negs, neg_passes, neg_stats) = confirm_negatives(
+        negatives.extend(confirm_negatives(
             source,
             miner.ancestors(),
             cands,
@@ -123,27 +101,20 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
             miner.large().min_support_count(),
             config.min_ri,
             config.parallelism,
-            pass_stats.len() as u64 + 1,
             ctrl,
             obs,
-        )?;
-        passes += neg_passes;
-        miner.skip_passes(neg_passes);
-        pass_stats.extend(neg_stats);
-        negatives.append(&mut negs);
+        )?);
         negative_time += negative_start.elapsed();
     }
 
-    renumber(&mut pass_stats);
     Ok(DriverOutcome {
         large: miner.large().clone(),
         negatives,
         candidate_stats,
-        passes,
+        passes: obs.passes().len() as u64,
         levels,
         positive_time,
         negative_time,
-        pass_stats,
     })
 }
 
@@ -203,7 +174,8 @@ mod tests {
             driver: crate::config::Driver::Naive,
             ..MinerConfig::default()
         };
-        let out = run_naive(&pc, &tax, &config, None, &Obs::disabled()).unwrap();
+        let obs = Obs::disabled();
+        let out = run_naive(&pc, &tax, &config, None, &obs).unwrap();
 
         // Levels: 1-itemsets and 2-itemsets are large; no level-3 positive
         // candidates survive apriori-gen, so no third positive pass.
@@ -211,11 +183,11 @@ mod tests {
         assert_eq!(out.passes, pc.passes());
         // 2n shape: item pass + (positive pass + negative pass) for level 2.
         assert_eq!(out.passes, 3);
-        // Telemetry mirrors the pass ledger exactly: L1, L2, negative.
-        assert_eq!(out.pass_stats.len(), 3);
-        let labels: Vec<&str> = out.pass_stats.iter().map(|s| s.label.as_str()).collect();
+        // The ledger holds one row per pass: L1, L2, negative.
+        let rows = obs.passes();
+        let labels: Vec<&str> = rows.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, ["L1", "L2", "negative"]);
-        for (i, s) in out.pass_stats.iter().enumerate() {
+        for (i, s) in rows.iter().enumerate() {
             assert_eq!(s.pass, i as u64 + 1);
             assert_eq!(s.transactions, 70);
             assert_eq!(s.threads, 1);

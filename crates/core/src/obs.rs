@@ -16,8 +16,10 @@
 //!
 //! let ring = Arc::new(RingBufferSink::new(1024));
 //! let obs = Obs::disabled().with_sink(ring.clone());
-//! let ctrl = RunControl::new().with_observer(obs);
+//! let ctrl = RunControl::new().with_observer(obs.clone());
 //! // ... NegativeMiner::mine_with_controls(..., &ctrl) ...
+//! // Completed or interrupted, the run's passes are on the ledger:
+//! assert!(obs.passes().is_empty());
 //! ```
 
 pub use negassoc_txdb::obs::*;

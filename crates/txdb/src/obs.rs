@@ -14,8 +14,7 @@
 //!   floats ([`json_num`] renders `inf`/`NaN` as `null`).
 //! * [`PassStats`] — the per-pass telemetry record. This is the *one*
 //!   shared pass-row type: the miner report, the CLI `--pass-stats`
-//!   table and the bench JSON artifacts all consume it (the former
-//!   `bench::CountingPassRow` duplicate is gone).
+//!   table and the bench JSON artifacts all consume it.
 //! * [`Metrics`] — a lock-free registry of named monotonic counters and
 //!   gauges. The hot path is a relaxed `fetch_add`; workers accumulate
 //!   into private [`MetricsShard`]s and merge at pass boundaries — the
@@ -24,12 +23,18 @@
 //! * [`TraceSink`] — where events go: [`NoopSink`] (drop everything),
 //!   [`JsonLinesSink`] (append one JSON object per line to a file),
 //!   [`RingBufferSink`] (keep the last N events in memory for
-//!   post-run derivation), [`FanoutSink`] (tee to several sinks).
+//!   post-run derivation).
 //! * [`Obs`] — the cheap-to-clone handle the pipeline threads around.
 //!   A disabled handle ([`Obs::default`]) costs one branch per emission
 //!   point: the event-building closure passed to [`Obs::emit`] is never
 //!   even invoked. The bench suite enforces a < 2% overhead budget for
 //!   the fully-armed no-op configuration.
+//! * The pass ledger — every database pass of every miner runs through
+//!   [`Obs::pass`], which emits `pass_start`, times the pass and, when it
+//!   completes, numbers it, appends its [`PassStats`] row to the ledger
+//!   the handle and its clones share, and emits `pass_end`. Numbers,
+//!   rows and events therefore come from one place and cannot disagree;
+//!   [`Obs::passes`] reads the rows back, even on a disabled handle.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -56,6 +61,16 @@ pub struct PassStats {
     pub threads: usize,
     /// Wall-clock time of the pass.
     pub wall: Duration,
+}
+
+/// What a completed pass reports back to [`Obs::pass`]: the part of its
+/// [`PassStats`] row only the pass itself knows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Scan {
+    /// Transactions scanned.
+    pub transactions: u64,
+    /// Worker threads used.
+    pub threads: usize,
 }
 
 /// Render a float as a JSON number with `decimals` fractional digits —
@@ -529,36 +544,6 @@ impl TraceSink for RingBufferSink {
     }
 }
 
-/// Tees every event to each inner sink, in order.
-pub struct FanoutSink(Vec<Arc<dyn TraceSink>>);
-
-impl fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FanoutSink({} sinks)", self.0.len())
-    }
-}
-
-impl FanoutSink {
-    /// A sink forwarding to all of `sinks`.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        Self(sinks)
-    }
-}
-
-impl TraceSink for FanoutSink {
-    fn record(&self, event: &Event) {
-        for sink in &self.0 {
-            sink.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        for sink in &self.0 {
-            sink.flush();
-        }
-    }
-}
-
 /// Distinguishes how a metric slot is updated; the merge treats both as
 /// plain `u64` cells.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -727,14 +712,16 @@ pub mod metric {
     pub const BITMAP_ONES: &str = "bitmap.ones";
 }
 
-/// The handle the pipeline threads around: an optional sink plus an
-/// optional metrics registry. Cloning is two `Arc` bumps; the default
-/// handle is fully disabled and every emission point collapses to one
-/// `Option` branch (the event is never even built).
+/// The handle the pipeline threads around: an optional sink, an optional
+/// metrics registry and the pass ledger. Cloning is three `Arc` bumps, and
+/// clones share all three; the default handle has no sink or registry, so
+/// every emission point collapses to one `Option` branch (the event is
+/// never even built), but it still keeps its ledger.
 #[derive(Clone, Default)]
 pub struct Obs {
     sink: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<Metrics>>,
+    ledger: Arc<Mutex<Vec<PassStats>>>,
 }
 
 impl fmt::Debug for Obs {
@@ -820,6 +807,56 @@ impl Obs {
             sink.flush();
         }
     }
+
+    /// Run one database pass: emit `pass_start`, run `count`, and when it
+    /// returns `Ok` number the pass from the ledger (1 for the first since
+    /// the last [`Obs::clear_passes`]), append its [`PassStats`] row, emit
+    /// `pass_end`, bump `passes.completed` and set `last_pass.candidates`.
+    /// A pass that fails (a cancelled or faulted scan) returns its error
+    /// and leaves no row and no `pass_end`: only completed passes are on
+    /// the record.
+    pub fn pass<T, E>(
+        &self,
+        label: &str,
+        candidates: usize,
+        count: impl FnOnce() -> Result<(T, Scan), E>,
+    ) -> Result<T, E> {
+        let started = Instant::now();
+        self.emit(|| Event::PassStart {
+            label: label.to_string(),
+            candidates,
+        });
+        let (value, scan) = count()?;
+        let stats = {
+            let mut ledger = lock(&self.ledger);
+            let stats = PassStats {
+                pass: ledger.len() as u64 + 1,
+                label: label.to_string(),
+                candidates,
+                transactions: scan.transactions,
+                threads: scan.threads,
+                wall: started.elapsed(),
+            };
+            ledger.push(stats.clone());
+            stats
+        };
+        self.emit(|| Event::PassEnd { stats });
+        self.bump(metric::PASSES_COMPLETED, 1);
+        self.gauge(metric::LAST_PASS_CANDIDATES, candidates as u64);
+        Ok(value)
+    }
+
+    /// The ledger's rows: every pass completed since the last
+    /// [`Obs::clear_passes`], in execution order, numbered `1..=n`.
+    pub fn passes(&self) -> Vec<PassStats> {
+        lock(&self.ledger).clone()
+    }
+
+    /// Empty the ledger, so the next pass is numbered 1 again. A mining
+    /// run starts with this.
+    pub fn clear_passes(&self) {
+        lock(&self.ledger).clear();
+    }
 }
 
 #[cfg(test)]
@@ -888,20 +925,6 @@ mod tests {
         );
         assert_eq!(ring.drain().len(), 2);
         assert!(ring.snapshot().is_empty());
-    }
-
-    #[test]
-    fn fanout_reaches_every_sink() {
-        let a = Arc::new(RingBufferSink::new(8));
-        let b = Arc::new(RingBufferSink::new(8));
-        let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        fan.record(&Event::Salvage {
-            kept: 1,
-            dropped: 0,
-        });
-        fan.flush();
-        assert_eq!(a.snapshot().len(), 1);
-        assert_eq!(b.snapshot(), a.snapshot());
     }
 
     #[test]
@@ -1000,6 +1023,67 @@ mod tests {
         });
         assert_eq!(ring.snapshot().len(), 2, "clones share the sink");
         assert!(format!("{obs:?}").contains("sink: true"));
+    }
+
+    #[test]
+    fn pass_ledger_numbers_and_records_completed_passes_only() {
+        let ring = Arc::new(RingBufferSink::new(16));
+        let metrics = Arc::new(Metrics::new());
+        let obs = Obs::disabled()
+            .with_sink(ring.clone())
+            .with_metrics(metrics.clone());
+        let scan = Scan {
+            transactions: 10,
+            threads: 2,
+        };
+        assert_eq!(obs.pass("L1", 4, || Ok::<_, ()>((7, scan))), Ok(7));
+        assert_eq!(
+            obs.pass("L2", 3, || Err::<((), Scan), _>("cut")),
+            Err("cut")
+        );
+        let clone = obs.clone();
+        clone
+            .pass("negative", 5, || Ok::<_, ()>(((), scan)))
+            .unwrap();
+        let rows = obs.passes();
+        let numbered: Vec<(u64, &str, usize)> = rows
+            .iter()
+            .map(|r| (r.pass, r.label.as_str(), r.candidates))
+            .collect();
+        assert_eq!(
+            numbered,
+            [(1, "L1", 4), (2, "negative", 5)],
+            "clones share one ledger"
+        );
+        assert!(rows.iter().all(|r| r.transactions == 10 && r.threads == 2));
+        let events = ring.snapshot();
+        let starts = events
+            .iter()
+            .filter(|e| matches!(e, Event::PassStart { .. }))
+            .count();
+        let ends: Vec<PassStats> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::PassEnd { stats } => Some(stats.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(starts, 3, "the failed pass announced itself");
+        assert_eq!(ends, rows, "pass_end events are the ledger rows");
+        let counters = metrics.snapshot();
+        assert!(counters.contains(&(metric::PASSES_COMPLETED.into(), MetricKind::Counter, 2)));
+        assert!(counters.contains(&(metric::LAST_PASS_CANDIDATES.into(), MetricKind::Gauge, 5)));
+        obs.clear_passes();
+        assert!(clone.passes().is_empty());
+        let bare = Obs::disabled();
+        bare.pass("L1", 1, || Ok::<_, ()>(((), scan))).unwrap();
+        assert_eq!(
+            bare.passes().len(),
+            1,
+            "a handle without a sink keeps its ledger"
+        );
+        clone.pass("L1", 1, || Ok::<_, ()>(((), scan))).unwrap();
+        assert_eq!(obs.passes()[0].pass, 1, "a cleared ledger numbers from 1");
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //!
 //! The mutation checks are the analyzer's canary: delete the token poll
 //! from `partition_mine` and L010 must catch it; break the pass-end
-//! emit and L011 must. If either mutation sails through, the lints have
-//! rotted into decoration.
+//! emit of `Obs::pass`, the one fn that builds pass events, and L011
+//! must. If either mutation sails through, the lints have rotted into
+//! decoration.
 
 use xtask::lints::FileClass;
 use xtask::{analyze_source, analyze_sources, SourceInput};
 
 const PARTITION_MINE: &str = "crates/apriori/src/partition_mine.rs";
+const OBS: &str = "crates/txdb/src/obs.rs";
 
 fn real_source(rel: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -55,15 +57,13 @@ fn deleting_the_token_poll_is_one_l010() {
 
 #[test]
 fn breaking_the_pass_end_emit_is_one_l011() {
-    let source = real_source(PARTITION_MINE);
+    let source = real_source(OBS);
+    assert_eq!(flow_findings(OBS, &source), Vec::<&str>::new());
+    let anchor = "self.emit(|| Event::PassEnd";
+    assert_eq!(source.matches(anchor).count(), 1, "mutation anchor moved");
+    let mutated = source.replace(anchor, "self.emit(|| Event::PassStart");
     assert_eq!(
-        source.matches("Event::PassEnd").count(),
-        1,
-        "mutation anchor moved"
-    );
-    let mutated = source.replace("Event::PassEnd", "Event::PassStart");
-    assert_eq!(
-        flow_findings(PARTITION_MINE, &mutated),
+        flow_findings(OBS, &mutated),
         ["L011"],
         "a pass that starts twice and never ends must produce exactly one \
          deny finding"

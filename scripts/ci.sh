@@ -125,9 +125,24 @@ echo "smoke: threaded runs byte-identical to the sequential run"
 
 echo "==> observability smoke (traced mine, JSON-lines validation)"
 # A traced run must emit JSON lines the workspace's own strict parser
-# accepts, and --metrics must surface the counter table.
+# accepts, and --metrics must surface the counter table. The pass table
+# (--pass-stats), the trace's pass_end lines and run_end's passes all
+# come from one pass ledger, so the three counts must agree.
+pass_rows() {
+  grep -cE '^ +[0-9]+  [A-Za-z0-9_]+ +[0-9]+ +[0-9]+ +[0-9]+ +[0-9.]+s$' "$1" || true
+}
+check_pass_counts() { # <stdout of a --pass-stats run> <its trace>
+  local rows ends run_end
+  rows="$(pass_rows "$1")"
+  ends="$(grep -c '"event":"pass_end"' "$2" || true)"
+  run_end="$(sed -n 's/.*"event":"run_end","passes":\([0-9]*\).*/\1/p' "$2")"
+  if [ "$rows" -eq 0 ] || [ "$rows" != "$ends" ] || [ "$rows" != "$run_end" ]; then
+    echo "smoke: $1: $rows pass rows, $ends pass_end lines, run_end passes '$run_end'" >&2
+    exit 1
+  fi
+}
 "$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
-  --min-support 0.05 --max-size 2 --threads 2 \
+  --min-support 0.05 --max-size 2 --threads 2 --pass-stats \
   --trace "$SMOKE/trace.jsonl" --metrics > "$SMOKE/obs.out"
 [ -s "$SMOKE/trace.jsonl" ] || { echo "smoke: empty trace" >&2; exit 1; }
 cargo run -q --release -p xtask -- validate-json "$SMOKE/trace.jsonl" --lines
@@ -135,7 +150,15 @@ grep -q '"event":"run_end"' "$SMOKE/trace.jsonl" \
   || { echo "smoke: trace missing run_end" >&2; exit 1; }
 grep -q "passes.completed" "$SMOKE/obs.out" \
   || { echo "smoke: --metrics table missing" >&2; exit 1; }
-echo "smoke: trace is valid JSON lines, metrics table present"
+check_pass_counts "$SMOKE/obs.out" "$SMOKE/trace.jsonl"
+# EstMerge's sample and batch passes are on the same ledger.
+"$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
+  --min-support 0.05 --max-size 2 --algorithm estmerge --pass-stats \
+  --trace "$SMOKE/est.jsonl" > "$SMOKE/est.out"
+check_pass_counts "$SMOKE/est.out" "$SMOKE/est.jsonl"
+grep -qE '^ +1  est_sample ' "$SMOKE/est.out" \
+  || { echo "smoke: estmerge pass table has no est_sample row" >&2; exit 1; }
+echo "smoke: trace is valid JSON lines, metrics table present, pass counts agree"
 
 echo "==> sharded smoke (manifest mining, shard quarantine, degraded exit 0)"
 # An all-healthy manifest must reproduce the unsharded output bytewise.

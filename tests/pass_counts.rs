@@ -3,13 +3,15 @@
 //! per positive level plus a single negative-counting pass (`n + 1`), with
 //! extra passes only under the §2.5 memory cap.
 
-use negassoc::config::Driver;
+use negassoc::config::{Driver, GenAlgorithm};
 use negassoc::ctrl::RunControl;
 use negassoc::obs::{Event, Obs, RingBufferSink};
-use negassoc::{MinerConfig, NegativeMiner};
+use negassoc::{MinerConfig, MiningOutcome, NegativeMiner};
 use negassoc_apriori::MinSupport;
 use negassoc_taxonomy::{Taxonomy, TaxonomyBuilder};
+use negassoc_txdb::fault::{FaultPlan, FaultySource, SourceFault, SourceFaultKind};
 use negassoc_txdb::{PassCounter, TransactionDb, TransactionDbBuilder};
+use std::ops::RangeFrom;
 use std::sync::Arc;
 
 /// Three categories of two brands each; one brand-triple dominates, so
@@ -177,49 +179,140 @@ fn file_backed_source_counts_identically() {
     assert_eq!(mem.rules.len(), file.rules.len());
 }
 
+/// The `(pass, label)` of every `pass_end` in `events`.
+fn pass_ends(events: Vec<Event>) -> Vec<(u64, String)> {
+    events
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::PassEnd { stats } => Some((stats.pass, stats.label)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The `(pass, label)` of every row of a run's pass table, after checking
+/// that the trace's `pass_end` events carry exactly those numbers and
+/// that the rows are numbered `1..=n`.
+fn checked_rows(out: &MiningOutcome, events: Vec<Event>, what: &str) -> Vec<(u64, String)> {
+    let rows: Vec<(u64, String)> = out
+        .report
+        .pass_stats
+        .iter()
+        .map(|s| (s.pass, s.label.clone()))
+        .collect();
+    assert_eq!(pass_ends(events), rows, "{what}");
+    let numbers: Vec<u64> = rows.iter().map(|r| r.0).collect();
+    let want: Vec<u64> = (1..=rows.len() as u64).collect();
+    assert_eq!(numbers, want, "{what}");
+    rows
+}
+
 #[test]
 fn pass_end_events_carry_the_numbers_of_the_pass_rows() {
     // The trace and the pass table number every pass alike: the naive
     // driver interleaves positive and negative passes level by level, the
     // improved one ends with its negative pass (split in three by the
-    // cap, so the chunk passes are numbered on too).
+    // cap, so the chunk passes are numbered on too), EstMerge makes
+    // sample and batch passes, and a memory budget too small for the L2
+    // candidates hands the positive phase to Partition after the L1 pass.
     let (tax, db) = deep_scenario();
     let capped = MinerConfig {
         max_candidates_per_pass: Some(2),
         ..config(Driver::Improved)
     };
-    for (config, negative_passes) in [
-        (config(Driver::Naive), 2..),
-        (config(Driver::Improved), 1..),
-        (capped, 3..),
-    ] {
+    let est_merge = MinerConfig {
+        algorithm: GenAlgorithm::EstMerge(Default::default()),
+        ..config(Driver::Improved)
+    };
+    let budgeted = MinerConfig {
+        memory_budget: Some(PARTITION_BUDGET),
+        ..config(Driver::Improved)
+    };
+    let cases: [(&str, MinerConfig, &[&str], RangeFrom<usize>); 5] = [
+        ("naive", config(Driver::Naive), &["L1", "L2", "L3"], 2..),
+        (
+            "improved",
+            config(Driver::Improved),
+            &["L1", "L2", "L3"],
+            1..,
+        ),
+        ("capped", capped, &["L1", "L2", "L3"], 3..),
+        ("estmerge", est_merge, &["est_sample", "est_batch"], 1..),
+        (
+            "partition fallback",
+            budgeted,
+            &["L1", "partition_local", "partition_verify"],
+            1..,
+        ),
+    ];
+    for (what, config, positive, negative_passes) in cases {
+        // Two runs on one observer: each starts a fresh ledger.
         let ring = Arc::new(RingBufferSink::new(10_000));
         let ctrl = RunControl::new().with_observer(Obs::disabled().with_sink(ring.clone()));
-        let out = NegativeMiner::new(config.clone())
+        let miner = NegativeMiner::new(config);
+        let first = miner
             .mine_with_controls(&db, &tax, None, None, &ctrl)
             .unwrap();
-        let events: Vec<(u64, String)> = ring
-            .snapshot()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::PassEnd { stats } => Some((stats.pass, stats.label)),
-                _ => None,
-            })
-            .collect();
-        let rows: Vec<(u64, String)> = out
-            .report
-            .pass_stats
-            .iter()
-            .map(|s| (s.pass, s.label.clone()))
-            .collect();
-        assert_eq!(events, rows, "{:?}", config.driver);
-        let numbers: Vec<u64> = rows.iter().map(|r| r.0).collect();
-        let want: Vec<u64> = (1..=rows.len() as u64).collect();
-        assert_eq!(numbers, want, "{:?}", config.driver);
-        let negatives = rows.iter().filter(|r| r.1 == "negative").count();
+        let first_rows = checked_rows(&first, ring.drain(), what);
+        let second = miner
+            .mine_with_controls(&db, &tax, None, None, &ctrl)
+            .unwrap();
+        let second_rows = checked_rows(&second, ring.drain(), what);
+        assert_eq!(
+            second_rows, first_rows,
+            "{what}: the second run numbers from 1"
+        );
+
+        assert_eq!(first.report.passes, first_rows.len() as u64, "{what}");
+        for label in positive {
+            assert!(
+                first_rows.iter().any(|r| r.1 == *label),
+                "{what}: no {label} row in {first_rows:?}"
+            );
+        }
+        let negatives = first_rows.iter().filter(|r| r.1 == "negative").count();
         assert!(
             negative_passes.contains(&negatives),
-            "{negatives} negative passes"
+            "{what}: {negatives} negative passes"
         );
     }
+}
+
+/// A memory budget whose candidate cap is below the deep scenario's L2
+/// candidates but holds every negative candidate set it generates.
+const PARTITION_BUDGET: usize = 160 * 24;
+
+#[test]
+fn a_resumed_run_numbers_its_own_passes_from_one() {
+    // The checkpoint paid for the L1 pass; the resumed run's table holds
+    // the passes it made itself, numbered from 1, and its total counts
+    // the restored pass too.
+    let (tax, db) = deep_scenario();
+    let miner = NegativeMiner::new(config(Driver::Improved));
+    let fresh = miner.mine(&db, &tax).unwrap();
+    let dir = std::env::temp_dir().join(format!("negassoc-pass-resume-{}", std::process::id()));
+    let faulty = FaultySource::new(
+        &db,
+        // Fail the second pass (passes count from 0 here), the L2 pass.
+        FaultPlan::new(vec![SourceFault {
+            pass: 1,
+            at_transaction: 0,
+            kind: SourceFaultKind::PermanentError,
+        }]),
+    );
+    assert!(miner
+        .mine_with_controls(&faulty, &tax, None, Some(&dir), &RunControl::new())
+        .is_err());
+
+    let ring = Arc::new(RingBufferSink::new(10_000));
+    let ctrl = RunControl::new().with_observer(Obs::disabled().with_sink(ring.clone()));
+    let resumed = miner
+        .mine_with_controls(&db, &tax, None, Some(&dir), &ctrl)
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let rows = checked_rows(&resumed, ring.snapshot(), "resumed");
+    assert_eq!(rows[0].1, "L2", "the restored L1 pass has no row: {rows:?}");
+    assert_eq!(resumed.report.passes, fresh.report.passes);
+    assert_eq!(resumed.report.passes, rows.len() as u64 + 1);
+    assert_eq!(resumed.rules.len(), fresh.rules.len());
 }
