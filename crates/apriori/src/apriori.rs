@@ -3,10 +3,10 @@
 //! occurrences directly, higher levels count `apriori-gen` candidates with
 //! the configured backend.
 
-use crate::count::CountingBackend;
+use crate::count::{CountingBackend, PairCandidates};
 use crate::gen::{apriori_gen, pairs_of};
 use crate::itemset::{Itemset, LargeItemsets};
-use crate::parallel::{count_mixed_parallel, Extension, Obs, Parallelism};
+use crate::parallel::{count_mixed_parallel, count_pairs, Extension, Obs, Parallelism};
 use crate::MinSupport;
 use negassoc_taxonomy::ItemId;
 use negassoc_txdb::TransactionSource;
@@ -47,25 +47,35 @@ pub fn apriori<S: TransactionSource + ?Sized>(
     }
 
     // Levels >= 2: candidate generation + one counting pass each.
+    let (seq, obs) = (Parallelism::Sequential, &Obs::disabled());
     let mut k = 2;
     loop {
-        let candidates = if k == 2 {
-            pairs_of(&large_1)
+        let counted = if k == 2 && backend == CountingBackend::TidBitmap {
+            // Level 2 straight into the pair triangle, no pair list.
+            let pairs = PairCandidates::new(&large_1, Extension::Literal);
+            if pairs.is_empty() {
+                break;
+            }
+            count_pairs(source, &pairs, minsup, seq, None, obs)?
         } else {
-            apriori_gen(&frontier)
+            let candidates = if k == 2 {
+                pairs_of(&large_1)
+            } else {
+                apriori_gen(&frontier)
+            };
+            if candidates.is_empty() {
+                break;
+            }
+            count_mixed_parallel(
+                source,
+                candidates,
+                backend,
+                Extension::Literal,
+                seq,
+                None,
+                obs,
+            )?
         };
-        if candidates.is_empty() {
-            break;
-        }
-        let counted = count_mixed_parallel(
-            source,
-            candidates,
-            backend,
-            Extension::Literal,
-            Parallelism::Sequential,
-            None,
-            &Obs::disabled(),
-        )?;
         frontier.clear();
         for (set, count) in counted.counts {
             if count >= minsup {

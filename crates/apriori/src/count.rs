@@ -11,9 +11,14 @@
 //! * [`CountingBackend::TidBitmap`] (default) — vertical counting: the
 //!   pass builds one packed bitset row per item the candidates mention,
 //!   then every candidate is counted by word-wise AND + popcount (see
-//!   [`negassoc_txdb::vertical`]; DESIGN.md §14); a pass of dense pairs
-//!   (every candidate a pair, filling at least half of the triangle over
-//!   their items, as at L2) is counted in a triangular pair matrix instead.
+//!   [`negassoc_txdb::vertical`]; DESIGN.md §14). Pairs go to a
+//!   triangular pair matrix instead: level 2 always, through
+//!   [`crate::parallel::count_pairs`], which holds its candidates as
+//!   [`PairCandidates`] (the large items and their count, no list) and
+//!   reads the large pairs off the cells; an explicit pair list (an
+//!   EstMerge batch, a `--max-size 2` negative set) when its pairs fill
+//!   at least half of the triangle over their items. One `PairWorker`
+//!   serves both.
 //!   Transactions reach their rows through one dense `RowMap` built per
 //!   pass: an item's own row plus the rows of its ancestors that some
 //!   candidate mentions. That table *is* Cumulate's "add only the needed
@@ -119,7 +124,7 @@ pub(crate) struct BitmapPlan {
     /// Transaction item → rows.
     pub(crate) map: RowMap,
     /// Every candidate's rows, concatenated in input order (one flat
-    /// buffer: an L2 plan holds hundreds of thousands of candidates).
+    /// buffer: a plan can hold hundreds of thousands of candidates).
     cand_rows: Vec<u32>,
     /// Where each candidate's rows end in `cand_rows`.
     cand_ends: Vec<usize>,
@@ -127,7 +132,8 @@ pub(crate) struct BitmapPlan {
     rows: usize,
     /// Count in a triangular pair matrix instead of AND + popcount: set
     /// when every candidate is a pair and the candidates fill at least
-    /// half of the triangle over their rows (always true at L2).
+    /// half of the triangle over their rows (an EstMerge level-2 batch, a
+    /// dense negative pair set).
     pairs: bool,
     /// The AND kernel's candidate order (empty in the pair layout).
     groups: PrefixGroups,
@@ -244,26 +250,221 @@ impl BitmapPlan {
             check_cell_limit(transactions)?;
         }
         let ones: u64 = totals.iter().sum();
-        let backend = if self.pairs { "pairs" } else { "bitmap" };
+        let work = Work {
+            rows: self.rows,
+            built,
+            candidates: totals.len(),
+            counted: work,
+            ones,
+        };
+        work.report(self.pairs, obs);
+        Ok(totals)
+    }
+}
+
+/// What one bitmap-backend pass built and counted, as its
+/// `backend_build` / `backend_count` events and the `bitmap.*` metrics
+/// report it.
+struct Work {
+    /// Rows (distinct items the candidates mention).
+    rows: usize,
+    /// Structures built: `u64` words (bitmap) or `u32` cells (pairs),
+    /// summed over workers.
+    built: u64,
+    candidates: usize,
+    /// Counting work: words ANDed (bitmap) or cell increments (pairs).
+    counted: u64,
+    /// The candidates' supports, summed.
+    ones: u64,
+}
+
+impl Work {
+    fn report(&self, pairs: bool, obs: &Obs) {
+        let backend = if pairs { "pairs" } else { "bitmap" };
         obs.emit(|| Event::BackendBuild {
             backend: backend.to_string(),
             items: self.rows,
-            words: built,
+            words: self.built,
         });
         obs.emit(|| Event::BackendCount {
             backend: backend.to_string(),
-            candidates: totals.len(),
-            words: work,
-            ones,
+            candidates: self.candidates,
+            words: self.counted,
+            ones: self.ones,
         });
-        if self.pairs {
-            obs.bump(metric::BITMAP_PAIR_INCREMENTS, work);
+        if pairs {
+            obs.bump(metric::BITMAP_PAIR_INCREMENTS, self.counted);
         } else {
-            obs.bump(metric::BITMAP_WORDS_BUILT, built);
-            obs.bump(metric::BITMAP_WORDS_ANDED, work);
+            obs.bump(metric::BITMAP_WORDS_BUILT, self.built);
+            obs.bump(metric::BITMAP_WORDS_ANDED, self.counted);
         }
-        obs.bump(metric::BITMAP_ONES, ones);
-        Ok(totals)
+        obs.bump(metric::BITMAP_ONES, self.ones);
+    }
+}
+
+/// Level 2's candidates without a candidate list: every pair of the large
+/// items minus the item–ancestor pairs (Srikant & Agrawal's L2 prune),
+/// counted straight into the pair triangle by
+/// [`crate::parallel::count_pairs`].
+///
+/// The pairs that would be listed — `prune_ancestor_pairs(pairs_of(L1))` —
+/// are exactly the unrelated cells of the triangle over the large items
+/// that occur in at least one of them, so the pass builds the same rows,
+/// the same `RowMap` and the same cells as `BitmapPlan` would for the
+/// list, and reads the large pairs off the cells in the list's order.
+pub struct PairCandidates<'a> {
+    /// The large items in some unrelated pair, ascending: item `items[r]`
+    /// owns row `r`.
+    items: Vec<ItemId>,
+    /// Item id → row, or [`NO_ROW`].
+    row_of: Vec<u32>,
+    extension: Extension<'a>,
+    /// How many pairs the list would hold.
+    len: usize,
+}
+
+impl<'a> PairCandidates<'a> {
+    /// The level-2 candidates over the large items `large` (any order;
+    /// duplicates ignored). Pairs related under `extension`'s ancestor
+    /// table are no candidates; [`Extension::Literal`] relates none.
+    pub fn new(large: &[ItemId], extension: Extension<'a>) -> Self {
+        let mut large = large.to_vec();
+        large.sort_unstable();
+        large.dedup();
+        let n = large.len();
+        // The table spans every large item and, under a taxonomy, every
+        // item of it, as in `BitmapPlan::new`.
+        let bound = large
+            .last()
+            .map_or(0, |i| i.index() + 1)
+            .max(extension.ancestors().map_or(0, |a| a.len()));
+        let mut row_of = vec![NO_ROW; bound];
+        for (x, i) in large.iter().enumerate() {
+            row_of[i.index()] = x as u32;
+        }
+        // related[x]: the large items that are ancestors or descendants of
+        // large[x]. Each related pair is met once, from its descendant.
+        let mut related = vec![0usize; n];
+        let mut related_pairs = 0;
+        if let Some(anc) = extension.ancestors() {
+            for (x, &i) in large.iter().enumerate() {
+                for a in anc.ancestors(i) {
+                    if let Some(&y) = row_of.get(a.index()).filter(|&&y| y != NO_ROW) {
+                        related[x] += 1;
+                        related[y as usize] += 1;
+                        related_pairs += 1;
+                    }
+                }
+            }
+        }
+        row_of.fill(NO_ROW);
+        let items: Vec<ItemId> = large
+            .iter()
+            .zip(&related)
+            .filter(|&(_, &r)| r + 1 < n)
+            .map(|(&i, _)| i)
+            .collect();
+        for (r, i) in items.iter().enumerate() {
+            row_of[i.index()] = r as u32;
+        }
+        Self {
+            items,
+            row_of,
+            extension,
+            len: triangle(n) - related_pairs,
+        }
+    }
+
+    /// How many candidate pairs there are: `C(n, 2)` minus the related
+    /// pairs among the `n` large items.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when no pair of large items is a candidate.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The pass's transaction mapping.
+    pub(crate) fn row_map(&self) -> RowMap {
+        RowMap::new(&self.row_of, self.extension)
+    }
+
+    /// A fresh counting unit over this triangle.
+    pub(crate) fn worker(&self) -> PairWorker {
+        PairWorker::new(self.items.len())
+    }
+
+    /// `true` when one of `a`, `b` is an ancestor of the other.
+    fn related(&self, a: ItemId, b: ItemId) -> bool {
+        self.extension
+            .ancestors()
+            .is_some_and(|anc| anc.is_ancestor(a, b) || anc.is_ancestor(b, a))
+    }
+
+    /// Sum the workers' triangles from a pass over `transactions`
+    /// transactions, report the pass's build and count work to `obs`, and
+    /// return every candidate pair whose support reaches `minsup`, in
+    /// `(x, y)` order — the order of the pair list. Only those pairs are
+    /// allocated.
+    ///
+    /// # Errors
+    /// More than `u32::MAX` transactions return
+    /// [`io::ErrorKind::InvalidData`], as in [`BitmapPlan::merge`].
+    pub(crate) fn large(
+        &self,
+        workers: Vec<PairWorker>,
+        transactions: u64,
+        minsup: u64,
+        obs: &Obs,
+    ) -> io::Result<Vec<(Itemset, u64)>> {
+        check_cell_limit(transactions)?;
+        let mut workers = workers.into_iter();
+        let mut total = workers.next().unwrap_or_else(|| self.worker());
+        let (mut built, mut counted) = (total.cells.len() as u64, total.increments);
+        for w in workers {
+            built += w.cells.len() as u64;
+            counted += w.increments;
+            // No cell sum exceeds `transactions`, checked above.
+            for (t, c) in total.cells.iter_mut().zip(&w.cells) {
+                *t += c;
+            }
+        }
+        let rows = self.items.len();
+        let mut large = Vec::new();
+        let mut ones = 0u64;
+        for (a, &x) in self.items.iter().enumerate() {
+            let start = total.row_start(a);
+            let cells = &total.cells[start..start + (rows - a - 1)];
+            for (&n, &y) in cells.iter().zip(&self.items[a + 1..]) {
+                let n = u64::from(n);
+                ones += n;
+                if n >= minsup && !self.related(x, y) {
+                    large.push((Itemset::from_sorted([x, y]), n));
+                }
+            }
+        }
+        // `ones` counts candidates only: take the related cells back out.
+        if let Some(anc) = self.extension.ancestors() {
+            for (a, &x) in self.items.iter().enumerate() {
+                for i in anc.ancestors(x) {
+                    if let Some(&b) = self.row_of.get(i.index()).filter(|&&b| b != NO_ROW) {
+                        let (a, b) = (a.min(b as usize), a.max(b as usize));
+                        ones -= total.count(a as u32, b as u32);
+                    }
+                }
+            }
+        }
+        let work = Work {
+            rows,
+            built,
+            candidates: self.len,
+            counted,
+            ones,
+        };
+        work.report(true, obs);
+        Ok(large)
     }
 }
 
@@ -462,8 +663,14 @@ impl BitmapWorker {
 pub(crate) struct PairWorker {
     cells: Vec<u32>,
     rows: usize,
-    /// The current transaction's rows (reused across transactions).
+    /// One bit per row: the rows the current transaction reaches. Every
+    /// word is zero between transactions.
+    seen: Vec<u64>,
+    /// `scratch[..reached]` are the current transaction's rows, ascending;
+    /// the 8 slots past `rows` absorb [`PairWorker::add`]'s unconditional
+    /// writes.
     scratch: Vec<u32>,
+    reached: usize,
     increments: u64,
 }
 
@@ -472,7 +679,9 @@ impl PairWorker {
         Self {
             cells: vec![0; triangle(rows)],
             rows,
-            scratch: Vec::new(),
+            seen: vec![0; rows.div_ceil(64)],
+            scratch: vec![0; rows + 8],
+            reached: 0,
             increments: 0,
         }
     }
@@ -484,21 +693,44 @@ impl PairWorker {
     }
 
     /// Record one transaction: bump the cell of every pair of the rows its
-    /// items reach, each row once (two items can share an ancestor).
-    fn add(&mut self, items: &[ItemId], map: &RowMap) {
-        self.scratch.clear();
+    /// items reach, each row once (two items can share an ancestor). The
+    /// rows are marked in `seen`, then read back word by word — ascending
+    /// and without duplicates, with no sort — clearing each word read.
+    pub(crate) fn add(&mut self, items: &[ItemId], map: &RowMap) {
         for &item in items {
-            self.scratch.extend_from_slice(map.rows(item));
+            for &row in map.rows(item) {
+                self.seen[row as usize / 64] |= 1 << (row % 64);
+            }
         }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        let m = self.scratch.len() as u64;
+        // A word's set bits are written 8 at a time, unconditionally
+        // (slots past its popcount hold junk the next word overwrites), so
+        // the read does not branch on every bit (simdjson's flatten_bits).
+        let mut n = 0;
+        for (w, word) in self.seen.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            let end = n + bits.count_ones() as usize;
+            let base = w as u32 * 64;
+            loop {
+                for slot in &mut self.scratch[n..n + 8] {
+                    *slot = base + bits.trailing_zeros();
+                    bits &= bits.wrapping_sub(1);
+                }
+                n += 8;
+                if n >= end {
+                    break;
+                }
+            }
+            n = end;
+        }
+        self.reached = n;
+        let list = &self.scratch[..n];
+        let m = n as u64;
         self.increments += m * m.saturating_sub(1) / 2;
-        for (x, &a) in self.scratch.iter().enumerate() {
+        for (x, &a) in list.iter().enumerate() {
             let a = a as usize;
             let start = self.row_start(a);
             let row = &mut self.cells[start..start + (self.rows - a - 1)];
-            for &b in &self.scratch[x + 1..] {
+            for &b in &list[x + 1..] {
                 row[b as usize - a - 1] += 1;
             }
         }
@@ -864,6 +1096,34 @@ mod tests {
         assert_eq!(w.count(0, 2), 2); // {10, 30}
         for (a, b) in [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)] {
             assert_eq!(w.count(a, b), 1, "rows {a}, {b}");
+        }
+    }
+
+    /// Rows reached twice in one transaction, straddling the bitset's word
+    /// boundaries (63 | 64 and 127 | 128), bump each pair once, and the
+    /// next transaction starts from a cleared bitset.
+    #[test]
+    fn pair_worker_dedups_rows_across_word_boundaries() {
+        // Item 0 reaches rows 63, 64, 127, 128 and 5; item 1 rows 64, 128
+        // and 0; item 2 rows 127 and 63; item 3 rows 1 and 129.
+        let map = RowMap {
+            starts: vec![0, 5, 8, 10, 12],
+            reach: vec![63, 64, 127, 128, 5, 64, 128, 0, 127, 63, 1, 129],
+        };
+        let mut w = PairWorker::new(130);
+        w.add(&ids(&[0, 1, 2]), &map);
+        let first = [0u32, 5, 63, 64, 127, 128];
+        assert_eq!(w.scratch[..w.reached], first);
+        assert_eq!(w.increments, 15);
+        w.add(&ids(&[3]), &map);
+        assert_eq!(w.scratch[..w.reached], [1, 129]);
+        assert_eq!(w.increments, 16);
+        for a in 0..130u32 {
+            for b in a + 1..130 {
+                let want = u64::from(first.contains(&a) && first.contains(&b))
+                    + u64::from((a, b) == (1, 129));
+                assert_eq!(w.count(a, b), want, "rows {a}, {b}");
+            }
         }
     }
 

@@ -42,6 +42,12 @@ impl AncestorTable {
         self.table.len()
     }
 
+    /// `true` for the table of an empty taxonomy.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
     /// Proper ancestors of `item`, nearest first. Items outside the
     /// taxonomy (possible when transactions mention unknown ids) have none.
     #[inline]

@@ -6,18 +6,24 @@
 //! [`GenLevelMiner`] exposes exactly that stepping; [`crate::basic`] and
 //! [`crate::cumulate`] are thin run-to-completion wrappers around it.
 //!
+//! Level 2 under the bitmap backend lists no candidates: its candidate
+//! set, every pair of large items minus the item–ancestor pairs, is a
+//! [`PairCandidates`] that knows its size, and the pass counts straight
+//! into the pair triangle over the large items ([`count_pairs`]). The
+//! flat backend and every later level count an explicit list.
+//!
 //! The miner keeps no pass accounting of its own: each pass it makes is a
 //! row on its [`Obs`] handle's ledger (see [`Obs::pass`]), numbered in
 //! run order together with whatever passes other miners make on the same
 //! handle in between (the naive driver's negative passes).
 
-use crate::count::CountingBackend;
+use crate::count::{CountingBackend, PairCandidates};
 use crate::gen::{apriori_gen, pairs_of};
 use crate::generalized::{prune_ancestor_pairs, AncestorTable};
 use crate::itemset::{Itemset, LargeItemsets};
 use crate::parallel::{
-    count_items_parallel, count_mixed_parallel, CancelToken, Extension, Obs, Parallelism, PassRun,
-    Scan,
+    count_items_parallel, count_mixed_parallel, count_pairs, CancelToken, Extension, Obs,
+    Parallelism, PassRun, Scan,
 };
 use crate::MinSupport;
 use negassoc_taxonomy::{ItemId, Taxonomy};
@@ -279,43 +285,58 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             c.check()?;
         }
         let k = self.next_k;
-        let candidates = if k == 2 {
-            prune_ancestor_pairs(pairs_of(&self.large_1), &self.ancestors)
-        } else {
-            apriori_gen(&self.frontier)
+        let extension = match self.strategy {
+            GenStrategy::Basic => Extension::AllAncestors(&self.ancestors),
+            GenStrategy::Cumulate => Extension::NeededAncestors(&self.ancestors),
         };
+        // The bitmap backend counts L2 straight into the triangle over L1
+        // and lists no pair; everything else counts a candidate list.
+        let pairs = (k == 2 && self.backend == CountingBackend::TidBitmap)
+            .then(|| PairCandidates::new(&self.large_1, extension));
+        let listed = match pairs {
+            Some(_) => Vec::new(),
+            None if k == 2 => prune_ancestor_pairs(pairs_of(&self.large_1), &self.ancestors),
+            None => apriori_gen(&self.frontier),
+        };
+        let size = pairs.as_ref().map_or(listed.len(), PairCandidates::len);
         self.obs.emit(|| Event::CandidateSet {
             label: format!("L{k}"),
-            size: candidates.len(),
+            size,
         });
-        if candidates.is_empty() {
+        if size == 0 {
             self.done = true;
             return Ok(None);
         }
         if let Some(cap) = self.candidate_cap {
-            if candidates.len() > cap {
+            if size > cap {
                 return Err(CandidateBudgetExceeded {
                     level: k,
-                    candidates: candidates.len(),
+                    candidates: size,
                     cap,
                 }
                 .into());
             }
         }
-        let extension = match self.strategy {
-            GenStrategy::Basic => Extension::AllAncestors(&self.ancestors),
-            GenStrategy::Cumulate => Extension::NeededAncestors(&self.ancestors),
-        };
-        let counts = self.obs.pass(&format!("L{k}"), candidates.len(), || {
-            count_mixed_parallel(
-                self.source,
-                candidates,
-                self.backend,
-                extension,
-                self.parallelism,
-                self.ctrl,
-                &self.obs,
-            )
+        let counts = self.obs.pass(&format!("L{k}"), size, || {
+            match &pairs {
+                Some(pairs) => count_pairs(
+                    self.source,
+                    pairs,
+                    self.minsup,
+                    self.parallelism,
+                    self.ctrl,
+                    &self.obs,
+                ),
+                None => count_mixed_parallel(
+                    self.source,
+                    listed,
+                    self.backend,
+                    extension,
+                    self.parallelism,
+                    self.ctrl,
+                    &self.obs,
+                ),
+            }
             .map(PassRun::into_parts)
         })?;
         self.frontier.clear();
@@ -410,7 +431,11 @@ mod tests {
             .expect("budget errors carry CandidateBudgetExceeded");
         assert_eq!(inner.level, 2);
         assert_eq!(inner.cap, 0);
-        assert!(inner.candidates > 0);
+        // The bitmap backend lists no L2 pair; the count it computes is
+        // the listed pairs' length.
+        let listed = prune_ancestor_pairs(pairs_of(&m.large_1), &m.ancestors);
+        assert!(!listed.is_empty());
+        assert_eq!(inner.candidates, listed.len());
         assert!(inner.to_string().contains("over the cap"));
         // The failure consumed no state: lifting the cap resumes normally.
         assert_eq!(m.state(), before);

@@ -2,7 +2,9 @@
 //!
 //! Every pass-based miner in the workspace funnels its counting through
 //! this module: [`count_mixed_parallel`] (candidates of any sizes, one
-//! pass) and [`count_items_parallel`] (the level-1 per-item tally). Both
+//! pass), [`count_pairs`] (level 2 under the bitmap backend, straight into
+//! the pair triangle over the large items, with no candidate list) and
+//! [`count_items_parallel`] (the level-1 per-item tally). All three
 //! stream *any* [`TransactionSource`] — in-memory or file-backed — through
 //! [`negassoc_txdb::block::parallel_pass`]: the caller's thread slices the
 //! single pass into fixed-size blocks, a pool of `std::thread::scope`
@@ -22,7 +24,7 @@
 //! the same pass produce identical `(candidate, count)` sequences, which
 //! is the foundation of the pipeline's byte-identical-output contract.
 
-use crate::count::{BitmapPlan, Counter, CountingBackend};
+use crate::count::{BitmapPlan, Counter, CountingBackend, PairCandidates};
 use crate::generalized::{extend_filtered, extend_full, items_of_candidates, AncestorTable};
 use crate::itemset::Itemset;
 use negassoc_taxonomy::fxhash::{FxHashMap, FxHashSet};
@@ -68,7 +70,9 @@ impl<'a> Extension<'a> {
 /// `--pass-stats` report surfaces.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PassRun {
-    /// `(candidate, support)` for every input candidate, in input order.
+    /// `(candidate, support)` for every input candidate, in input order
+    /// ([`count_pairs`]: only the pairs reaching its `minsup`, in pair-list
+    /// order).
     pub counts: Vec<(Itemset, u64)>,
     /// Transactions scanned by the pass.
     pub transactions: u64,
@@ -278,6 +282,55 @@ fn count_mixed_parallel_bitmap<S: TransactionSource + ?Sized>(
     )?;
     let totals = plan.merge(parts, transactions, obs)?;
     let counts: Vec<(Itemset, u64)> = candidates.into_iter().zip(totals).collect();
+    Ok(PassRun {
+        counts,
+        transactions,
+        threads,
+    })
+}
+
+/// Count level 2 under the bitmap backend: every pair of `candidates`
+/// (the large items, minus item–ancestor pairs) in one pass of `source`,
+/// without listing a pair. Each worker fills a private `PairWorker`
+/// triangle over the large items through the pass's `RowMap`, exactly as
+/// [`count_mixed_parallel`] would for the listed pairs; the triangles are
+/// summed and `counts` holds the pairs whose support reaches `minsup`, in
+/// the order [`crate::gen::pairs_of`] lists them. Cancellation, block
+/// events, scan counters and the `backend_*` events (labelled `pairs`) as
+/// in [`count_mixed_parallel`]. No candidates make no pass.
+// negassoc-lint: allow(L010) -- parallel_pass polls at block boundaries; the worker closure counts one dispatched block
+pub fn count_pairs<S: TransactionSource + ?Sized>(
+    source: &S,
+    candidates: &PairCandidates<'_>,
+    minsup: u64,
+    parallelism: Parallelism,
+    ctrl: Option<&CancelToken>,
+    obs: &Obs,
+) -> io::Result<PassRun> {
+    let threads = parallelism.resolve();
+    if candidates.is_empty() {
+        return Ok(PassRun {
+            counts: Vec::new(),
+            transactions: 0,
+            threads,
+        });
+    }
+    let map = &candidates.row_map();
+    let (workers, transactions) = parallel_pass(
+        source,
+        threads,
+        DEFAULT_BLOCK_SIZE,
+        ctrl,
+        obs,
+        || candidates.worker(),
+        |w, block| {
+            for t in block.iter() {
+                w.add(t.items(), map);
+            }
+        },
+        |w| w,
+    )?;
+    let counts = candidates.large(workers, transactions, minsup, obs)?;
     Ok(PassRun {
         counts,
         transactions,

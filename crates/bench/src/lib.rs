@@ -980,9 +980,25 @@ impl OverheadBench {
         median(&self.treated_s)
     }
 
-    /// Ratio of the medians as an overhead, percent of the baseline
-    /// (negative means the difference drowned in run-to-run noise).
+    /// The overhead, percent of the baseline: the median over repetitions
+    /// of each interleaved pair's `treated / baseline − 1`. A pair's two
+    /// runs share whatever the machine was doing at the time, so drift
+    /// across the repetitions cancels (negative means the difference
+    /// drowned in run-to-run noise).
     pub fn overhead_pct(&self) -> f64 {
+        let paired: Vec<f64> = self
+            .baseline_s
+            .iter()
+            .zip(&self.treated_s)
+            .filter(|(base, _)| **base > 0.0)
+            .map(|(base, treated)| (treated / base - 1.0) * 100.0)
+            .collect();
+        median(&paired)
+    }
+
+    /// The overhead as the ratio of the two medians, percent of the
+    /// baseline: unpaired, so drift within the run moves it.
+    pub fn median_ratio_pct(&self) -> f64 {
         let base = self.median_baseline_s();
         if base <= 0.0 {
             return 0.0;
@@ -998,7 +1014,7 @@ impl OverheadBench {
         format!(
             "{{\n  \"transactions\": {},\n  \"repetitions\": {},\n  \"baseline_s\": [{}],\n  \
              \"{label}_s\": [{}],\n  \"median_baseline_s\": {},\n  \"median_{label}_s\": {},\n  \
-             \"overhead_pct\": {}\n}}\n",
+             \"overhead_pct\": {},\n  \"median_ratio_pct\": {}\n}}\n",
             self.transactions,
             self.repetitions,
             list(&self.baseline_s).join(", "),
@@ -1006,15 +1022,18 @@ impl OverheadBench {
             json_num(self.median_baseline_s(), 6),
             json_num(self.median_treated_s(), 6),
             json_num(self.overhead_pct(), 3),
+            json_num(self.median_ratio_pct(), 3),
             label = self.label,
         )
     }
 }
 
 /// Run an overhead benchmark on the "Short" dataset scaled to
-/// `transactions`: `repetitions` interleaved (baseline, treated) pairs.
-/// Each side builds its run control before the clock starts, and each
-/// pair must agree on the answer.
+/// `transactions`: `repetitions` interleaved (baseline, treated) pairs,
+/// the baseline first in even repetitions and second in odd ones, so
+/// running second helps or hurts both sides alike. Each side builds its
+/// run control before the clock starts, and each pair must agree on the
+/// answer.
 pub fn overhead_bench(kind: Overhead, transactions: usize, repetitions: usize) -> OverheadBench {
     let ds = short_dataset(Some(transactions));
     let miner = NegativeMiner::new(bench_config(0.015));
@@ -1025,7 +1044,11 @@ pub fn overhead_bench(kind: Overhead, transactions: usize, repetitions: usize) -
     let (ring, recorder) = recorder();
     for rep in 0..repetitions {
         let mut rules = [0; 2];
-        for (side, name) in ["baseline", label].into_iter().enumerate() {
+        let mut sides = [(0, "baseline"), (1, label)];
+        if rep % 2 == 1 {
+            sides.reverse();
+        }
+        for (side, name) in sides {
             let ctrl = kind.control(side == 1);
             let start = std::time::Instant::now();
             let out = match &ctrl {
@@ -1364,8 +1387,14 @@ mod tests {
             assert_eq!((bench.transactions, bench.repetitions), (7, 2));
             assert_eq!(bench.baseline_s, vec![0.010, 0.030]);
             assert_eq!(bench.treated_s, vec![0.020, 0.040]);
+            // Paired: the median of +100% and +33.3%; unpaired: 40 / 20 ms.
+            assert!((bench.overhead_pct() - 200.0 / 3.0).abs() < 1e-9);
+            assert!((bench.median_ratio_pct() - 50.0).abs() < 1e-9);
             let doc = bench.to_json();
-            assert_gated(&doc, &["overhead_pct", "median_baseline_s"]);
+            assert_gated(
+                &doc,
+                &["overhead_pct", "median_ratio_pct", "median_baseline_s"],
+            );
             for key in [format!("\"{label}_s\""), format!("\"median_{label}_s\"")] {
                 assert!(doc.contains(&key), "{doc}");
             }

@@ -203,7 +203,6 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
         compress_taxonomy: !opts.flag("no-compress"),
         parallelism,
         backend,
-        ..MinerConfig::default()
     };
     let miner = NegativeMiner::new(config);
 

@@ -64,7 +64,7 @@ impl Opts {
                     return Err(OptError::Duplicate(key.to_owned()));
                 }
                 opts.flags.push(key.to_owned());
-            } else if known.iter().any(|k| *k == key) {
+            } else if known.contains(&key) {
                 let value = iter
                     .next()
                     .ok_or_else(|| OptError::MissingValue(key.to_owned()))?;

@@ -10,22 +10,17 @@ use negassoc_apriori::MinSupport;
 /// Which generalized large-itemset algorithm feeds the negative miner
 /// (paper §2.2: "we can use one of the algorithms, Basic, Cumulate or
 /// EstMerge, proposed in [14]").
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum GenAlgorithm {
     /// Extend transactions with all ancestors.
     Basic,
     /// Cumulate's filtering optimizations (default).
+    #[default]
     Cumulate,
     /// Sampling-based EstMerge. Only usable with the improved driver — the
     /// naive driver needs strict level-by-level results, which EstMerge's
     /// deferred counting does not provide.
     EstMerge(EstMergeConfig),
-}
-
-impl Default for GenAlgorithm {
-    fn default() -> Self {
-        GenAlgorithm::Cumulate
-    }
 }
 
 /// Which negative-itemset driver to run.
@@ -105,7 +100,7 @@ impl Default for MinerConfig {
 impl MinerConfig {
     /// Check invariants that the type system cannot express.
     pub fn validate(&self) -> Result<(), Error> {
-        if !(self.min_ri > 0.0) {
+        if self.min_ri.is_nan() || self.min_ri <= 0.0 {
             return Err(Error::Config(format!(
                 "min_ri must be positive, got {}",
                 self.min_ri

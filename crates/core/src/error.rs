@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = Error::from(io::Error::new(io::ErrorKind::Other, "boom"));
+        let e = Error::from(io::Error::other("boom"));
         assert!(e.to_string().contains("boom"));
         assert!(std::error::Error::source(&e).is_some());
         let c = Error::Config("min_ri out of range".into());

@@ -44,7 +44,7 @@ pub fn r_interesting(
     tax: &Taxonomy,
     r: f64,
 ) -> Result<Vec<JudgedRule>, NegAssocError> {
-    if !(r >= 1.0) {
+    if r.is_nan() || r < 1.0 {
         return Err(NegAssocError::Config(format!(
             "interest factor must be at least 1, got {r}"
         )));

@@ -249,7 +249,7 @@ fn arb_world() -> impl Strategy<Value = (Taxonomy, LargeItemsets)> {
             let mut state = seed | 1;
             let mut next = || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) as u64
+                state >> 33
             };
             let mut large = LargeItemsets::new(100_000, 100);
             // Singles: a random large subset of all items (categories get

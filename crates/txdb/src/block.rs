@@ -604,7 +604,7 @@ mod tests {
             fn pass(&self, f: &mut dyn FnMut(Transaction<'_>)) -> io::Result<()> {
                 let items = [ItemId(1)];
                 f(Transaction::new(0, &items));
-                Err(io::Error::new(io::ErrorKind::Other, "boom"))
+                Err(io::Error::other("boom"))
             }
         }
         for threads in [1, 4] {

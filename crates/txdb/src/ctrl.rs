@@ -341,7 +341,7 @@ mod tests {
         // Foreign Interrupted errors are not cancellations.
         let foreign = io::Error::new(io::ErrorKind::Interrupted, "EINTR");
         assert_eq!(cancellation_of(&foreign), None);
-        let other = io::Error::new(io::ErrorKind::Other, "boom");
+        let other = io::Error::other("boom");
         assert_eq!(cancellation_of(&other), None);
     }
 

@@ -186,11 +186,11 @@ pub fn lex(source: &str) -> LexedFile {
                 // method call (`1.max(2)`).
                 while j < bytes.len() {
                     let b = bytes[j];
-                    if b.is_ascii_alphanumeric() || b == b'_' {
-                        j += 1;
-                    } else if b == b'.' && bytes.get(j + 1).is_some_and(|n| n.is_ascii_digit()) {
-                        j += 1;
-                    } else if (b == b'+' || b == b'-') && matches!(bytes[j - 1], b'e' | b'E') {
+                    if b.is_ascii_alphanumeric()
+                        || b == b'_'
+                        || (b == b'.' && bytes.get(j + 1).is_some_and(|n| n.is_ascii_digit()))
+                        || ((b == b'+' || b == b'-') && matches!(bytes[j - 1], b'e' | b'E'))
+                    {
                         j += 1;
                     } else {
                         break;
@@ -371,11 +371,11 @@ fn char_literal_end(bytes: &[u8], i: usize) -> Option<usize> {
             // character) is a lifetime. Multi-byte chars: find the quote
             // within the next 4 bytes.
             let limit = (i + 6).min(bytes.len());
-            for j in i + 2..limit {
-                if bytes[j] == b'\'' {
+            for (j, &b) in bytes.iter().enumerate().take(limit).skip(i + 2) {
+                if b == b'\'' {
                     return Some(j + 1);
                 }
-                if !is_ident_continue(bytes[j]) {
+                if !is_ident_continue(b) {
                     break;
                 }
             }

@@ -266,8 +266,8 @@ fn parse_impl_header(toks: &[Token], i: usize) -> Option<(String, usize, usize)>
 /// weighting the merged `<<`/`>>` operator tokens double.
 fn skip_angles(toks: &[Token], from: usize) -> Option<usize> {
     let mut depth = 0i32;
-    for k in from..toks.len() {
-        match toks[k].text.as_str() {
+    for (k, tok) in toks.iter().enumerate().skip(from) {
+        match tok.text.as_str() {
             "<" => depth += 1,
             "<<" => depth += 2,
             ">" => depth -= 1,
@@ -450,15 +450,16 @@ impl BodyScan<'_> {
                 (TokenKind::Ident, "Mutex" | "RwLock") => {
                     self.facts.locks.push(t.line);
                 }
-                (TokenKind::Ident, name) if self.toks.get(i + 1).is_some_and(|n| n.text == "(") => {
-                    if !NON_CALL_KEYWORDS.contains(&name) {
-                        self.record_call(i, in_loop);
-                        let end = matching(self.toks, i + 1, "(", ")").unwrap_or(i + 2);
-                        let callee = self.toks[i].text.clone();
-                        self.walk(i + 2, end - 1, in_loop, Some(&callee));
-                        i = end;
-                        continue;
-                    }
+                (TokenKind::Ident, name)
+                    if self.toks.get(i + 1).is_some_and(|n| n.text == "(")
+                        && !NON_CALL_KEYWORDS.contains(&name) =>
+                {
+                    self.record_call(i, in_loop);
+                    let end = matching(self.toks, i + 1, "(", ")").unwrap_or(i + 2);
+                    let callee = self.toks[i].text.clone();
+                    self.walk(i + 2, end - 1, in_loop, Some(&callee));
+                    i = end;
+                    continue;
                 }
                 (TokenKind::Ident, "vec" | "format")
                     if in_loop && self.toks.get(i + 1).is_some_and(|n| n.text == "!") =>

@@ -85,13 +85,15 @@ done
 echo "==> run control plane: cancel-token overhead (scale $SCALE)"
 ./target/release/paper ctrl --scale "$SCALE"
 # The control plane's acceptance bar: armed token checks must cost < 2%
-# median wall time over the token-free baseline.
+# wall time over the token-free baseline, as the median of the
+# interleaved pairs' ratios.
 gate BENCH_ctrl.json overhead_pct '<' 2.0
 
 echo "==> observability: no-op-sink overhead (scale $SCALE)"
 ./target/release/paper obs --scale "$SCALE"
 # The observability acceptance bar: emission points with a no-op sink
-# attached must cost < 2% median wall time over an unobserved run.
+# attached must cost < 2% wall time over an unobserved run, as the
+# median of the interleaved pairs' ratios.
 gate BENCH_obs.json overhead_pct '<' 2.0
 
 echo "==> rule serving: basket-match throughput (scale $SCALE)"

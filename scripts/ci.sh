@@ -22,6 +22,10 @@ if grep -q '^warning' "$SMOKE/check.log"; then
   exit 1
 fi
 
+# Clippy over every target, offline; any clippy warning fails the step.
+echo "==> cargo clippy --all-targets (deny warnings)"
+cargo clippy --all-targets --offline -- -D warnings
+
 # Lints run before the test suites: a lint violation is cheaper to
 # report than a full test run, and one uncached analyze pass over the
 # workspace takes ~40 ms (2-vCPU VM, median of 20 runs).

@@ -129,8 +129,11 @@ fn pick_backend(rng: &mut u64) -> CountingBackend {
     }
 }
 
+/// One rule's sides and its three numbers (floats as bits).
+type OutcomeKey = (Vec<ItemId>, Vec<ItemId>, u64, u64, u64);
+
 /// Every number a run reports, floats taken bitwise.
-fn outcome_key(out: &MiningOutcome) -> Vec<(Vec<ItemId>, Vec<ItemId>, u64, u64, u64)> {
+fn outcome_key(out: &MiningOutcome) -> Vec<OutcomeKey> {
     let mut keys: Vec<_> = out
         .rules
         .iter()

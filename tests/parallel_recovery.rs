@@ -46,9 +46,12 @@ fn config(parallelism: Parallelism) -> MinerConfig {
     }
 }
 
+/// One rule's sides and its three numbers (floats as bits).
+type OutcomeKey = (Vec<ItemId>, Vec<ItemId>, u64, u64, u64);
+
 /// Every number a run reports, floats taken bitwise: two runs compare
 /// equal here only when they are indistinguishable to a caller.
-fn outcome_key(out: &negassoc::MiningOutcome) -> Vec<(Vec<ItemId>, Vec<ItemId>, u64, u64, u64)> {
+fn outcome_key(out: &negassoc::MiningOutcome) -> Vec<OutcomeKey> {
     let mut keys: Vec<_> = out
         .rules
         .iter()
